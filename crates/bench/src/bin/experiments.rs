@@ -403,13 +403,22 @@ fn e5xl_engine_cost(report: &mut Report, k: usize) {
     conns[0].sync().expect("sync");
     let setup_us_per_client = setup0.elapsed().as_micros() as f64 / k as f64;
     let before = control.stats();
-    control.tick_n(100); // 1 s of audio
+    // The first tick rebuilds every route plan the set-up invalidated;
+    // its cost is read back from the `plan_build_us` histogram.
+    let plan_build_sum = || control.with_core(|c| c.tel.metrics.plan_build_us.snapshot().sum);
+    let built_before = plan_build_sum();
+    control.tick_n(1);
+    let plan_build_us = plan_build_sum() - built_before;
+    assert_eq!(control.stats().plan_rebuilds, before.plan_rebuilds + 1, "first tick must rebuild");
+    control.tick_n(99); // 1 s of audio in all
     let after = control.stats();
     let busy_ms = (after.busy - before.busy).as_secs_f64() * 1000.0;
     report.push("E5-XL", &format!("rig_setup_us_per_client_{k}_clients"), setup_us_per_client, "us");
     report.push("E5-XL", &format!("engine_ms_per_audio_s_{k}_clients"), busy_ms, "ms");
+    report.push("E5-XL", &format!("plan_build_us_{k}_clients"), plan_build_us as f64, "us");
     println!(
-        "  {k:>5} | setup {setup_us_per_client:>7.0} us/client | engine {busy_ms:>8.3} ms/s",
+        "  {k:>5} | setup {setup_us_per_client:>7.0} us/client | engine {busy_ms:>8.3} ms/s \
+         | plan build {plan_build_us:>6} us",
     );
     drop(conns);
     server.shutdown();
@@ -506,7 +515,7 @@ fn e5xl_start_latency(
 fn e5xl_connection_plane(report: &mut Report) {
     banner("E5-XL", "connection plane at scale: 16 -> 1024 clients (DESIGN.md §13)");
     println!("  engine+dispatch cost (manual ticks, all clients playing):");
-    println!("  clients | rig setup          | engine time per audio-second");
+    println!("  clients | rig setup          | engine time per audio-second | first-tick plan build");
     for k in [16usize, 64, 256, 512, 1024] {
         e5xl_engine_cost(report, k);
     }

@@ -1,7 +1,10 @@
 //! The server's central state: resources, clients, hardware, activation.
 //!
-//! One [`Core`] lives behind a mutex; client reader threads lock it to
-//! dispatch requests and the engine thread locks it once per tick. (The
+//! One [`Core`] lives behind an `RwLock`. The connection plane's
+//! event-loop I/O workers dispatch requests through it: own-shard
+//! requests take the read lock plus their client's per-shard stripe
+//! ([`crate::shard`], [`crate::fastpath`]), everything else the write
+//! lock. The engine thread takes the write lock once per tick. (The
 //! paper's prototype used finer-grained threads — §6.1 — but all of them
 //! ultimately serialise on the shared device and resource state; a single
 //! lock with a tick-quantum engine gives the same architecture its
@@ -493,7 +496,7 @@ impl Core {
     /// Collects every virtual device in the tree rooted at `root`.
     pub fn tree_vdevs(&self, root: u32) -> Vec<u32> {
         let mut out = Vec::new();
-        let mut stack = vec![root]; // rt-ok: plan-rebuild helper, runs only on topology change
+        let mut stack = vec![root];
         while let Some(lid) = stack.pop() {
             if let Some(l) = self.louds.get(&lid) {
                 out.extend(&l.vdevs);

@@ -91,10 +91,8 @@ pub fn tick(core: &mut Core) {
     produce_continuous(core, quantum, t, plans, scratch);
 
     // 6. Wires (and intermediate devices) in topological order per tree.
-    for i in 0..plans.active_roots.len() {
-        if let Some(plan) = plans.routes.get(&plans.active_roots[i]) {
-            route_tree(core, plan, quantum, t, scratch);
-        }
+    for plan in &plans.routes {
+        route_tree(core, plan, quantum, t, scratch);
     }
 
     // 7. Consumers: speakers, telephone transmit, recorders, recognizers.
@@ -994,8 +992,8 @@ fn produce_continuous(
     plans: &PlanCache,
     scratch: &mut EngineScratch,
 ) {
-    for i in 0..plans.active_bound.len() {
-        let vid = plans.active_bound[i];
+    for i in 0..plans.producers.len() {
+        let vid = plans.producers[i];
         let Some(v) = core.vdevs.get(&vid) else { continue };
         if v.paused {
             continue;
@@ -1281,8 +1279,8 @@ fn consume(core: &mut Core, quantum: u64, tick: u64, plans: &PlanCache, scratch:
         }
     }
 
-    for i in 0..plans.active_bound.len() {
-        let vid = plans.active_bound[i];
+    for i in 0..plans.consumers.len() {
+        let vid = plans.consumers[i];
         let Some(v) = core.vdevs.get(&vid) else { continue };
         if v.paused {
             continue;

@@ -7,12 +7,13 @@
 //! everything the tick loop would otherwise recompute per tick:
 //!
 //! - [`RoutePlan`]: per active root LOUD, the topological device order
-//!   and, per source port, the resolved outgoing wire list. Computed by
-//!   the pure [`compute_route_plan`] so property tests can compare a
-//!   cached plan against a fresh recompute.
+//!   and, per source port, the resolved outgoing wire list. Computed for
+//!   all roots at once by the pure [`build_route_plans`], in one pass
+//!   over the wire graph, so the validator and property tests can
+//!   compare cached plans against a fresh recompute.
 //! - [`PlanCache`]: the plans plus the other per-tick scans (hardware
-//!   line slots, line→device bindings, the active bound-device list),
-//!   invalidated by [`Core::topology_gen`](crate::core::Core), a
+//!   line slots, line→device bindings, the active producer and consumer
+//!   lists), invalidated by [`Core::topology_gen`](crate::core::Core), a
 //!   generation counter bumped on every topology mutation.
 //! - [`EngineScratch`]: pooled sample buffers the engine threads through
 //!   routing, mixing and consumption so the steady-state tick makes no
@@ -21,7 +22,9 @@
 use crate::core::Core;
 use crate::vdevice::HwBinding;
 use da_hw::pstn::LineId;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use da_proto::types::DeviceClass;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// One outgoing wire, resolved to its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,51 +64,68 @@ pub struct RoutePlan {
     pub order: Vec<PlanDevice>,
 }
 
-/// Computes the routing plan for `root` from the live topology. Pure and
-/// deterministic: the plan cache stores its output, and the property
-/// tests verify a cached plan is identical to a fresh recompute.
+/// Computes the routing plan of every root LOUD in `roots` from the live
+/// topology, returning the plans parallel to `roots`. Pure and
+/// deterministic: the plan cache stores its output, and the invariant
+/// checker and property tests verify a cached plan is identical to a
+/// fresh recompute.
+///
+/// One pass over the devices groups each under its cached tree root
+/// (kept correct by invariant V2), and one pass over the wires collects
+/// each edge under its source device's tree (V3: a wire never crosses
+/// trees). After one sort of each, every tree is ordered over its own
+/// contiguous run of devices and edges only, so a rebuild costs
+/// O(devices + wires), up to the sorts' log factor, however many roots
+/// are active.
 // rt-ok(fn): plan computation is the acknowledged slow path; it runs only on topology
 // change, and steady-state ticks reuse the cached plan (the zero-alloc test pins this)
-pub fn compute_route_plan(core: &Core, root: u32) -> RoutePlan {
-    let mut vdevs = core.tree_vdevs(root);
-    vdevs.sort_unstable();
-    let set: HashSet<u32> = vdevs.iter().copied().collect();
-    // Edges within the tree: (src, src_port, wire, dst, dst_port),
-    // sorted so per-port wire lists come out in wire-id order.
-    let mut edges: Vec<(u32, u8, u32, u32, u8)> = core
+pub fn build_route_plans(core: &Core, roots: &[u32]) -> Vec<RoutePlan> {
+    let slot_of: HashMap<u32, usize> = roots.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+    // (tree slot, device id), sorted: each tree's devices are contiguous
+    // and in id order, so index order breaks Kahn ties by smallest id.
+    let mut devs: Vec<(usize, u32)> = core
+        .vdevs
+        .values()
+        .filter_map(|v| slot_of.get(&v.root).map(|&slot| (slot, v.id.0)))
+        .collect();
+    devs.sort_unstable();
+    let index: HashMap<u32, usize> =
+        devs.iter().enumerate().map(|(i, &(_, vid))| (vid, i)).collect();
+    // Edges as (source index, source port, wire, destination index,
+    // destination port), sorted so each source's edges are contiguous
+    // and per-port wire lists come out in wire-id order.
+    let mut edges: Vec<(usize, u8, u32, usize, u8)> = core
         .wires
         .values()
-        .filter(|w| set.contains(&w.src.0) && set.contains(&w.dst.0))
-        .map(|w| (w.src.0, w.src_port, w.id.0, w.dst.0, w.dst_port))
+        .filter_map(|w| {
+            let (src, dst) = (*index.get(&w.src.0)?, *index.get(&w.dst.0)?);
+            // Endpoints in different trees violate V3; never plan them.
+            (devs[src].0 == devs[dst].0).then_some((src, w.src_port, w.id.0, dst, w.dst_port))
+        })
         .collect();
     edges.sort_unstable();
-    // Contiguous edge range per source device.
-    let mut by_src: HashMap<u32, std::ops::Range<usize>> = HashMap::new();
-    let mut i = 0;
-    while i < edges.len() {
-        let src = edges[i].0;
-        let start = i;
-        while i < edges.len() && edges[i].0 == src {
-            i += 1;
-        }
-        by_src.insert(src, start..i);
+    // Edges of source `i` are `edges[first[i]..first[i + 1]]`.
+    let n = devs.len();
+    let mut first = vec![0usize; n + 1];
+    let mut indegree = vec![0u32; n];
+    for &(src, _, _, dst, _) in &edges {
+        first[src + 1] += 1;
+        indegree[dst] += 1;
     }
-    // Kahn's algorithm, smallest ready id first for determinism.
-    let mut indegree: HashMap<u32, usize> = vdevs.iter().map(|&v| (v, 0)).collect();
-    for &(_, _, _, dst, _) in &edges {
-        *indegree.get_mut(&dst).expect("dst in tree") += 1;
+    for i in 0..n {
+        first[i + 1] += first[i];
     }
-    let mut ready: BinaryHeap<std::cmp::Reverse<u32>> = vdevs
-        .iter()
-        .copied()
-        .filter(|v| indegree[v] == 0)
-        .map(std::cmp::Reverse)
-        .collect();
-    let mut order = Vec::with_capacity(vdevs.len());
-    while let Some(std::cmp::Reverse(vid)) = ready.pop() {
-        let mut ports: Vec<PlanPort> = Vec::new();
-        if let Some(range) = by_src.get(&vid) {
-            for &(_, src_port, wire, dst, dst_port) in &edges[range.clone()] {
+    // Kahn's algorithm per tree, smallest ready index first.
+    let mut plans = Vec::with_capacity(roots.len());
+    let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+    let mut start = 0;
+    for slot in 0..roots.len() {
+        let end = start + devs[start..].iter().take_while(|d| d.0 == slot).count();
+        ready.extend((start..end).filter(|&i| indegree[i] == 0).map(Reverse));
+        let mut order = Vec::with_capacity(end - start);
+        while let Some(Reverse(i)) = ready.pop() {
+            let mut ports: Vec<PlanPort> = Vec::new();
+            for &(_, src_port, wire, dst, dst_port) in &edges[first[i]..first[i + 1]] {
                 if ports.last().map(|p| p.port) != Some(src_port) {
                     ports.push(PlanPort { port: src_port, wires: Vec::new() });
                 }
@@ -113,17 +133,18 @@ pub fn compute_route_plan(core: &Core, root: u32) -> RoutePlan {
                     .last_mut()
                     .expect("just pushed")
                     .wires
-                    .push(PlanWire { wire, dst, dst_port });
-                let e = indegree.get_mut(&dst).expect("dst in tree");
-                *e -= 1;
-                if *e == 0 {
-                    ready.push(std::cmp::Reverse(dst));
+                    .push(PlanWire { wire, dst: devs[dst].1, dst_port });
+                indegree[dst] -= 1;
+                if indegree[dst] == 0 {
+                    ready.push(Reverse(dst));
                 }
             }
+            order.push(PlanDevice { vid: devs[i].1, ports });
         }
-        order.push(PlanDevice { vid, ports });
+        plans.push(RoutePlan { order });
+        start = end;
     }
-    RoutePlan { order }
+    plans
 }
 
 /// Cached per-tick topology state, rebuilt only when the core's topology
@@ -134,14 +155,18 @@ pub struct PlanCache {
     built_gen: Option<u64>,
     /// Active roots in stack order (the engine's iteration order).
     pub active_roots: Vec<u32>,
-    /// Routing plan per active root.
-    pub routes: HashMap<u32, RoutePlan>,
+    /// Routing plan per active root, parallel to `active_roots`.
+    pub routes: Vec<RoutePlan>,
     /// Hardware telephone lines: (device index, line id).
     pub line_slots: Vec<(usize, LineId)>,
     /// Devices bound to each line, parallel to `line_slots`.
     pub line_bound: Vec<Vec<u32>>,
-    /// Hardware-bound devices in active trees, sorted by id.
-    pub active_bound: Vec<u32>,
+    /// Continuous producers in active trees (the input and telephone
+    /// devices the produce phase feeds), sorted by id.
+    pub producers: Vec<u32>,
+    /// Consumers in active trees (the output, telephone, recorder and
+    /// recognizer devices the consume phase drains), sorted by id.
+    pub consumers: Vec<u32>,
 }
 
 impl PlanCache {
@@ -174,10 +199,7 @@ impl PlanCache {
                 .copied()
                 .filter(|r| core.louds.get(r).map(|l| l.active) == Some(true)),
         );
-        self.routes.clear();
-        for &root in &self.active_roots {
-            self.routes.insert(root, compute_route_plan(core, root));
-        }
+        self.routes = build_route_plans(core, &self.active_roots);
         self.line_slots.clear();
         for i in 0..core.hw.device_count() {
             if let Some(da_hw::registry::HwSlot::Line(l)) = core.hw.slot(i) {
@@ -195,16 +217,42 @@ impl PlanCache {
             bound.sort_unstable();
             self.line_bound.push(bound);
         }
-        self.active_bound.clear();
-        self.active_bound.extend(
-            core.vdevs
-                .values()
-                .filter(|v| v.binding.is_some())
-                .filter(|v| core.louds.get(&v.root).map(|l| l.active) == Some(true))
-                .map(|v| v.id.0),
-        );
-        self.active_bound.sort_unstable();
+        // Class is fixed at creation and bindings change only in
+        // `Core::recompute_activation`, which invalidates this cache, so
+        // the split stays valid until the next rebuild. `paused` can
+        // change without a rebuild and stays a live check in the engine.
+        self.producers.clear();
+        self.consumers.clear();
+        for v in core.vdevs.values() {
+            if v.binding.is_none() || core.louds.get(&v.root).map(|l| l.active) != Some(true) {
+                continue;
+            }
+            if is_producer(v.class) {
+                self.producers.push(v.id.0);
+            }
+            if is_consumer(v.class) {
+                self.consumers.push(v.id.0);
+            }
+        }
+        self.producers.sort_unstable();
+        self.consumers.sort_unstable();
     }
+}
+
+/// Whether the engine's produce phase feeds devices of `class`.
+pub fn is_producer(class: DeviceClass) -> bool {
+    matches!(class, DeviceClass::Input | DeviceClass::Telephone)
+}
+
+/// Whether the engine's consume phase drains devices of `class`.
+pub fn is_consumer(class: DeviceClass) -> bool {
+    matches!(
+        class,
+        DeviceClass::Output
+            | DeviceClass::Telephone
+            | DeviceClass::Recorder
+            | DeviceClass::SpeechRecognizer
+    )
 }
 
 /// Reusable sample buffers for the tick loop. Buffers are taken, used

@@ -23,7 +23,7 @@
 //! are enforced in dispatch but deliberately not re-checked here.
 
 use crate::core::Core;
-use crate::plan::compute_route_plan;
+use crate::plan::build_route_plans;
 use crate::vdevice::HwBinding;
 use da_hw::registry::HwSlot;
 use da_proto::types::{PortDir, QueueState, WireType};
@@ -536,7 +536,8 @@ fn check_sound_store(core: &Core, out: &mut Vec<Violation>) {
 
 /// V10: a plan cache claiming to be built at the current topology
 /// generation really describes the current topology — the active-root
-/// list and every cached route equal a fresh recompute. A stale
+/// list and the cached routes equal one fresh `build_route_plans` pass
+/// over the whole active-root set. A stale
 /// generation is fine (the next tick rebuilds); a *lying* generation is
 /// the bug class `Core::invalidate_plans` exists to prevent.
 fn check_plan_cache(core: &Core, out: &mut Vec<Violation>) {
@@ -562,9 +563,21 @@ fn check_plan_cache(core: &Core, out: &mut Vec<Violation>) {
         );
         return;
     }
-    for &root in &expected_roots {
-        let fresh = compute_route_plan(core, root);
-        if plans.routes.get(&root) != Some(&fresh) {
+    let fresh = build_route_plans(core, &expected_roots);
+    if plans.routes.len() != fresh.len() {
+        violate(
+            out,
+            "V10",
+            format!(
+                "plan cache holds {} route plans for {} active roots",
+                plans.routes.len(),
+                fresh.len()
+            ),
+        );
+        return;
+    }
+    for ((cached, fresh), root) in plans.routes.iter().zip(&fresh).zip(&expected_roots) {
+        if cached != fresh {
             violate(
                 out,
                 "V10",

@@ -13,7 +13,7 @@ use da_proto::request::Request;
 use da_proto::types::{DeviceClass, WireType};
 use da_server::core::{Core, ServerConfig};
 use da_server::dispatch::dispatch;
-use da_server::plan::{compute_route_plan, PlanCache};
+use da_server::plan::{build_route_plans, is_consumer, is_producer, PlanCache};
 use da_server::vdevice::HwBinding;
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0u8..8, 0u8..4, 0u8..2)
+        3 => (0u8..8, 0u8..8, 0u8..2)
             .prop_map(|(slot, class, loud)| Op::CreateVDev { slot, class, loud }),
         1 => (0u8..8).prop_map(|slot| Op::DestroyVDev { slot }),
         4 => (0u8..12, 0u8..8, 0u8..2, 0u8..8, 0u8..3)
@@ -55,12 +55,18 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Software classes plus the hardware-bound producers and consumers, so
+/// the cache's producer/consumer split sees binding changes.
 fn class_of(idx: u8) -> DeviceClass {
-    match idx % 4 {
+    match idx % 8 {
         0 => DeviceClass::Mixer,
         1 => DeviceClass::Crossbar,
         2 => DeviceClass::Dsp,
-        _ => DeviceClass::Player,
+        3 => DeviceClass::Player,
+        4 => DeviceClass::Recorder,
+        5 => DeviceClass::Output,
+        6 => DeviceClass::Input,
+        _ => DeviceClass::Telephone,
     }
 }
 
@@ -153,20 +159,20 @@ proptest! {
             .filter(|r| core.louds.get(r).map(|l| l.active) == Some(true))
             .collect();
         prop_assert_eq!(&cache.active_roots, &expected_roots);
-        prop_assert_eq!(cache.routes.len(), expected_roots.len());
-        for &root in &expected_roots {
-            let fresh = compute_route_plan(&core, root);
-            prop_assert_eq!(cache.routes.get(&root), Some(&fresh));
-        }
-        let mut expected_bound: Vec<u32> = core
-            .vdevs
-            .values()
-            .filter(|v| v.binding.is_some())
-            .filter(|v| core.louds.get(&v.root).map(|l| l.active) == Some(true))
-            .map(|v| v.id.0)
-            .collect();
-        expected_bound.sort_unstable();
-        prop_assert_eq!(&cache.active_bound, &expected_bound);
+        prop_assert_eq!(&cache.routes, &build_route_plans(&core, &expected_roots));
+        let bound = |keep: fn(DeviceClass) -> bool| {
+            let mut ids: Vec<u32> = core
+                .vdevs
+                .values()
+                .filter(|v| v.binding.is_some() && keep(v.class))
+                .filter(|v| core.louds.get(&v.root).map(|l| l.active) == Some(true))
+                .map(|v| v.id.0)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        prop_assert_eq!(&cache.producers, &bound(is_producer));
+        prop_assert_eq!(&cache.consumers, &bound(is_consumer));
         for (i, &(_, line)) in cache.line_slots.iter().enumerate() {
             let mut bound: Vec<u32> = core
                 .vdevs
@@ -219,15 +225,15 @@ proptest! {
                 _ => {}
             }
         }
-        for l in 0..2u8 {
-            let root = loud_id(l).0;
-            let a = compute_route_plan(&core, root);
-            let b = compute_route_plan(&core, root);
-            prop_assert_eq!(&a, &b);
-            // Every tree device appears exactly once in the order.
+        let roots = [loud_id(0).0, loud_id(1).0];
+        let a = build_route_plans(&core, &roots);
+        let b = build_route_plans(&core, &roots);
+        prop_assert_eq!(&a, &b);
+        for (plan, &root) in a.iter().zip(&roots) {
+            // Every tree device appears exactly once in its tree's order.
             let mut vdevs = core.tree_vdevs(root);
             vdevs.sort_unstable();
-            let mut planned: Vec<u32> = a.order.iter().map(|d| d.vid).collect();
+            let mut planned: Vec<u32> = plan.order.iter().map(|d| d.vid).collect();
             planned.sort_unstable();
             prop_assert_eq!(planned, vdevs);
         }

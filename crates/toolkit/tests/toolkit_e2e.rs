@@ -28,11 +28,17 @@ fn play_loud_builder_plays() {
         SoundHandle::from_pcm(&mut conn, 8000, &da_dsp::tone::sine(8000, 600.0, 2400, 12000))
             .unwrap();
     play.play_blocking(&mut conn, sound.id, Duration::from_secs(10)).unwrap();
+    // The capture also holds the silence the engine rendered while the
+    // LOUD was built and the sound uploaded, however long that took, so
+    // the tone is checked from its first sample on.
+    let tone_start = |cap: &[i16]| cap.iter().position(|&s| s != 0);
     assert!(control.run_until(Duration::from_secs(5), |c| {
-        c.hw.speakers[0].captured().len() >= 2400
+        let cap = c.hw.speakers[0].captured();
+        tone_start(cap).is_some_and(|i| cap.len() >= i + 2400)
     }));
     let cap = control.take_captured(0);
-    assert!(da_dsp::analysis::goertzel_power(&cap[..2400], 8000, 600.0) > 10_000.0);
+    let start = tone_start(&cap).expect("tone captured");
+    assert!(da_dsp::analysis::goertzel_power(&cap[start..start + 2400], 8000, 600.0) > 10_000.0);
     server.shutdown();
 }
 

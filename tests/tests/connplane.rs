@@ -11,18 +11,43 @@ use da_proto::types::{DeviceClass, SoundType, WireType};
 use da_server::{AudioServer, ServerConfig};
 use std::time::Duration;
 
-/// OS threads of this process, from /proc/self/status.
-fn process_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("Threads: line")
+/// Serialises this file's tests, so no other test's server runs while
+/// one of them counts server threads.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a panicked holder leaves nothing
+    // inconsistent behind.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// OS threads of this process that belong to a server: every server
+/// thread is named `da-*`. The test harness's own threads, including
+/// those of tests waiting on [`SERIAL`], are not counted.
+fn server_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("proc tasks")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("da-"))
+        .count()
+}
+
+/// Waits until exactly `n` server threads exist: a thread names itself
+/// only once it runs, so a count taken right after start may miss some.
+fn await_server_threads(n: usize) -> bool {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server_threads() != n {
+        if std::time::Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
 }
 
 #[test]
 fn fast_path_carries_single_client_traffic() {
+    let _serial = serial();
     let (server, mut conn) = start();
     let loud = conn.create_loud(None).unwrap();
     let player = conn.create_vdevice(loud, DeviceClass::Player, vec![]).unwrap();
@@ -47,7 +72,8 @@ fn fast_path_carries_single_client_traffic() {
 
 #[test]
 fn io_threads_bounded_by_worker_pool() {
-    let before = process_threads();
+    let _serial = serial();
+    let before = server_threads();
     let server = AudioServer::start(ServerConfig {
         io_workers: 2,
         ..ServerConfig::default()
@@ -57,7 +83,7 @@ fn io_threads_bounded_by_worker_pool() {
     // 32 concurrent clients: thread-per-client would add 64 threads
     // here; the plane adds exactly io_workers + engine, regardless.
     let conns: Vec<_> = (0..32).map(|i| connect(&server, &format!("swarm-{i}"))).collect();
-    let during = process_threads();
+    let during = server_threads();
     assert!(
         during <= before + 3,
         "I/O threads must be O(workers): {before} -> {during} with 32 clients"
@@ -72,9 +98,12 @@ fn io_threads_bounded_by_worker_pool() {
 
 #[test]
 fn connection_churn_reaps_eagerly() {
+    let _serial = serial();
     let server = AudioServer::start(ServerConfig::default()).expect("server");
     let control = server.control();
-    let baseline = process_threads();
+    // The I/O workers plus the engine.
+    let baseline = server.io_workers() + 1;
+    assert!(await_server_threads(baseline), "server threads never all started");
     // 60 connect/work/disconnect cycles. Under the old model each cycle
     // spawned two threads whose handles accumulated until shutdown;
     // the plane must reap every finished connection as it dies.
@@ -95,7 +124,7 @@ fn connection_churn_reaps_eagerly() {
         }),
         "plane still tracks connections after churn"
     );
-    let after = process_threads();
+    let after = server_threads();
     assert!(
         after <= baseline + 1,
         "thread count grew under churn: {baseline} -> {after}"
@@ -105,6 +134,7 @@ fn connection_churn_reaps_eagerly() {
 
 #[test]
 fn short_reads_never_corrupt_dispatch() {
+    let _serial = serial();
     let server = AudioServer::start(ServerConfig::default()).expect("server");
     // Heavy short-read injection: every frame crossing the transport is
     // likely to arrive in several pieces, so the plane's incremental

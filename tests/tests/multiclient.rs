@@ -56,9 +56,12 @@ fn four_clients_mix_on_one_speaker() {
         c.hw.speakers[0].captured().len() >= 24_000
     });
     let cap = control.take_captured(0);
-    // In the middle of the capture all four tones must be audible at
-    // once — the server mixed the independent client streams.
-    let mid_start = cap.len() / 3;
+    // In the middle of the 3 s of tones all four must be audible at
+    // once — the server mixed the independent client streams. The
+    // capture also holds the silence rendered before the first tone and
+    // after the last, so the window is placed from the first tone sample.
+    let tone_start = cap.iter().position(|&s| s != 0).expect("tones captured");
+    let mid_start = tone_start + 8000;
     let mid = &cap[mid_start..(mid_start + 8000).min(cap.len())];
     for f in freqs {
         let p = da_dsp::analysis::goertzel_power(mid, 8000, f);
