@@ -9,6 +9,7 @@ use da_bench::report::Report;
 use da_bench::{build_play_rig, latency_stats, play, upload_tone, wait_done, ManualRig};
 use da_proto::command::{DeviceCommand, RecordTermination};
 use da_proto::event::{Event, EventMask};
+use da_proto::request::Request;
 use da_proto::types::{Attribute, DeviceClass, Encoding, SoundType, WireType};
 use da_server::{AudioServer, ServerConfig};
 use std::time::{Duration, Instant};
@@ -424,6 +425,44 @@ fn e5xl_engine_cost(report: &mut Report, k: usize) {
     server.shutdown();
 }
 
+/// Activation cost at scale (DESIGN.md §5): `k` clients each build a
+/// player wired to an output in an unmapped root, then their `k`
+/// `MapLoud`s run back to back through `dispatch` under one write lock.
+/// Each map runs one activation walk over the stack built so far.
+fn e5xl_activation_map(report: &mut Report, k: usize) {
+    let config = ServerConfig { manual_ticks: true, ..ServerConfig::default() };
+    let server = AudioServer::start(config).expect("server");
+    let control = server.control();
+    let mut conns = Vec::with_capacity(k);
+    let mut maps = Vec::with_capacity(k);
+    for i in 0..k {
+        let mut conn =
+            Connection::establish(server.connect_pipe(), &format!("map{i}")).expect("conn");
+        let loud = conn.create_loud(None).expect("loud");
+        let player = conn.create_vdevice(loud, DeviceClass::Player, vec![]).expect("player");
+        let output = conn.create_vdevice(loud, DeviceClass::Output, vec![]).expect("output");
+        conn.create_wire(player, 0, output, 0, WireType::Any).expect("wire");
+        conn.sync().expect("sync");
+        maps.push((conn.setup().client, Request::MapLoud { id: loud }));
+        conns.push(conn);
+    }
+    let rebinds = |c: &mut da_server::core::Core| c.tel.metrics.activation_rebinds_total.get();
+    let (ms, rebound) = control.with_core(|core| {
+        let before = rebinds(core);
+        let t0 = Instant::now();
+        for (client, map) in maps {
+            da_server::dispatch::dispatch(core, client, 0, map);
+        }
+        let ms = t0.elapsed().as_secs_f64() * 1000.0;
+        assert_eq!(core.active_stack.len(), k, "every root mapped");
+        (ms, rebinds(core) - before)
+    });
+    report.push("E5-XL", &format!("activation_map_ms_{k}_clients"), ms, "ms");
+    println!("  {k:>5} | {k} maps in {ms:>8.2} ms | {rebound} roots re-bound");
+    drop(conns);
+    server.shutdown();
+}
+
 /// Flight-recorder configuration for a latency measurement.
 #[derive(Clone, Copy)]
 enum TraceMode {
@@ -519,6 +558,9 @@ fn e5xl_connection_plane(report: &mut Report) {
     for k in [16usize, 64, 256, 512, 1024] {
         e5xl_engine_cost(report, k);
     }
+    println!("  activation (manual ticks, every root maps through dispatch):");
+    println!("  clients | map set-up              | activation walks");
+    e5xl_activation_map(report, 1024);
     println!("  play-start latency (real-time pacing, 16 concurrent probes):");
     println!("  clients | start latency      | process threads");
     let mut p95_at_16 = 0u64;

@@ -71,6 +71,73 @@ pub fn res_key(r: ResourceId) -> ResKey {
     }
 }
 
+/// Hardware claims accumulated down the active stack (paper §5.4,
+/// §5.8): physical devices in use, devices held with `ExclusiveUse`,
+/// and ambient domains held by `ExclusiveInput`/`ExclusiveOutput`.
+/// Bitsets over device index and over the dense ambient-domain index of
+/// [`Core::domain_bits`], so a claim set is a heap-free `Copy` value and
+/// the activation walk compares two in four word compares.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Claims {
+    /// Devices bound by some root above.
+    pub used: u64,
+    /// Devices bound with `ExclusiveUse`.
+    pub exclusive: u64,
+    /// Domains closed to further input devices.
+    pub excl_in: u64,
+    /// Domains closed to further output devices.
+    pub excl_out: u64,
+}
+
+/// Most physical devices, and most distinct ambient domains, a hardware
+/// spec may declare: one bit each in [`Claims`].
+pub const MAX_CLAIM_BITS: usize = u64::BITS as usize;
+
+/// Each device's ambient domains as a bitset over the dense index of
+/// every domain the spec names. Fails, rather than truncating, when the
+/// spec has more devices or domains than [`Claims`] has bits.
+fn domain_bits(spec: &HwSpec) -> Result<Vec<u64>, String> {
+    if spec.devices.len() > MAX_CLAIM_BITS {
+        return Err(format!(
+            "hardware spec declares {} physical devices; \
+             activation supports at most {MAX_CLAIM_BITS}",
+            spec.devices.len()
+        ));
+    }
+    let mut domains: Vec<u32> =
+        spec.devices.iter().flat_map(|d| d.domains.iter().copied()).collect();
+    domains.sort_unstable();
+    domains.dedup();
+    if domains.len() > MAX_CLAIM_BITS {
+        return Err(format!(
+            "hardware spec names {} ambient domains; activation supports at most {MAX_CLAIM_BITS}",
+            domains.len()
+        ));
+    }
+    Ok(spec
+        .devices
+        .iter()
+        .map(|d| {
+            d.domains.iter().fold(0u64, |acc, dom| {
+                acc | 1 << domains.binary_search(dom).expect("collected above")
+            })
+        })
+        .collect())
+}
+
+/// One root's trial bind: what [`Core::trial_bind`] would make of it.
+#[derive(Debug)]
+pub(crate) struct TrialBind {
+    /// Every device of the tree, in bind order.
+    pub vdevs: Vec<u32>,
+    /// On success, each device's binding and, for hardware bindings, the
+    /// device rate (software devices keep their own).
+    pub bindings: Vec<(u32, HwBinding, u32)>,
+    /// The claims after the root, or `None` when some device found no
+    /// free physical device (the root stays inactive and claims nothing).
+    pub exit: Option<Claims>,
+}
+
 /// Per-connection client state held by the core.
 #[derive(Debug)]
 pub struct ClientState {
@@ -205,6 +272,9 @@ pub struct Core {
     pub stripes: ShardSet,
     /// Mapped root LOUDs, top of stack first (paper §5.4).
     pub active_stack: Vec<u32>,
+    /// Per physical device, its ambient domains as a [`Claims`] domain
+    /// bitset. Built once from the immutable hardware spec.
+    pub domain_bits: Vec<u64>,
     /// The audio manager connection holding redirection, if any.
     pub redirect_client: Option<u32>,
     /// Root LOUDs whose map request awaits manager approval.
@@ -236,7 +306,19 @@ pub struct Core {
 
 impl Core {
     /// Creates the core from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// When the hardware spec does not fit the activation bitsets
+    /// ([`MAX_CLAIM_BITS`]); [`Core::try_new`] reports that as an error.
     pub fn new(config: ServerConfig) -> Self {
+        Core::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates the core from a configuration, or explains why the
+    /// hardware spec cannot be served.
+    pub fn try_new(config: ServerConfig) -> Result<Self, String> {
+        let domain_bits = domain_bits(&config.hw)?;
         let hw = Hardware::new(config.hw.clone());
         let shards = config.shards.max(1);
         let tel = crate::telem::ServerTelemetry::default();
@@ -247,7 +329,7 @@ impl Core {
         for cat in catalogs.sounds() {
             store.adopt(cat.hash, &cat.data);
         }
-        Core {
+        Ok(Core {
             config,
             hw,
             remote_parties: Vec::new(),
@@ -262,6 +344,7 @@ impl Core {
             properties: ShardedMap::new(shards),
             stripes: ShardSet::new(shards),
             active_stack: Vec::new(),
+            domain_bits,
             redirect_client: None,
             pending_maps: Vec::new(),
             pending_raises: Vec::new(),
@@ -273,8 +356,8 @@ impl Core {
             plane: crate::plan::DataPlane::default(),
             tel,
             next_client: 1,
-        shutting_down: false,
-        }
+            shutting_down: false,
+        })
     }
 
     /// Marks the routing topology as changed: the engine rebuilds its
@@ -335,6 +418,7 @@ impl Core {
     /// Removes a client and destroys everything it owns.
     pub fn remove_client(&mut self, client: ClientId) {
         // Unmap and destroy the client's root LOUDs (which cascades).
+        // One activation walk at the end covers every destroyed root.
         let roots: Vec<u32> = self
             .louds
             .values()
@@ -515,7 +599,9 @@ impl Core {
         }
     }
 
-    /// Destroys a LOUD subtree: children, devices, wires, queue.
+    /// Destroys a LOUD subtree: children, devices, wires, queue. A
+    /// destroyed root leaves the active stack; the caller runs the
+    /// activation walk once it has destroyed everything it meant to.
     pub fn destroy_loud(&mut self, loud: u32) {
         if !self.louds.contains_key(&loud) {
             return;
@@ -548,9 +634,6 @@ impl Core {
         self.properties.remove(&ResKey(0, loud));
         self.purge_selections(ResKey(0, loud));
         self.louds.remove(&loud);
-        if is_root {
-            self.recompute_activation();
-        }
     }
 
     /// Destroys a virtual device and its wires.
@@ -573,6 +656,9 @@ impl Core {
             }
             if let Some(l) = self.louds.get_mut(&v.loud) {
                 l.vdevs.retain(|&d| d != vdev);
+            }
+            if let Some(r) = self.louds.get_mut(&v.root) {
+                r.dirty = true;
             }
         }
         self.properties.remove(&ResKey(1, vdev));
@@ -636,132 +722,120 @@ impl Core {
 
     // ---- activation (paper §5.4) ----------------------------------------------
 
+    /// One root's trial bind (paper §5.4, §5.8): each device of the tree
+    /// takes the first matching physical device that neither `entering`
+    /// nor the tree's own earlier devices rule out. A pure function of
+    /// the claims and the tree, which is what lets the walk memoise it.
+    pub(crate) fn trial_bind(&self, root: u32, entering: Claims) -> TrialBind {
+        let vdevs = self.tree_vdevs(root);
+        let mut bindings = Vec::with_capacity(vdevs.len());
+        let mut acc = entering;
+        for &vid in &vdevs {
+            let Some(v) = self.vdevs.get(&vid) else { continue };
+            if !Self::needs_hardware(v.class) {
+                bindings.push((vid, HwBinding::Software, v.rate));
+                continue;
+            }
+            let has = |want: fn(&Attribute) -> bool| v.attrs.iter().any(want);
+            let exclusive_use = has(|a| matches!(a, Attribute::ExclusiveUse));
+            // Ambient-domain exclusion: an exclusive-input claim blocks
+            // input devices sharing any of its domains; likewise output.
+            let closed = match v.class {
+                DeviceClass::Input => acc.excl_in,
+                DeviceClass::Output => acc.excl_out,
+                _ => 0,
+            };
+            let chosen = (0..self.hw.spec().devices.len()).find(|&idx| {
+                let bit = 1u64 << idx;
+                acc.exclusive & bit == 0
+                    && !(exclusive_use && acc.used & bit != 0)
+                    && self.domain_bits[idx] & closed == 0
+                    && self.device_matches(idx, v.class, &v.attrs)
+            });
+            let Some(idx) = chosen else {
+                return TrialBind { vdevs, bindings, exit: None };
+            };
+            let (binding, rate) = match self.hw.slot(idx) {
+                Some(HwSlot::Speaker(s)) => (HwBinding::Speaker(s), self.hw.speakers[s].rate()),
+                Some(HwSlot::Microphone(m)) => {
+                    (HwBinding::Microphone(m), self.hw.microphones[m].rate())
+                }
+                Some(HwSlot::Line(l)) => (HwBinding::Line(l), da_hw::pstn::LINE_RATE),
+                None => return TrialBind { vdevs, bindings, exit: None },
+            };
+            acc.used |= 1 << idx;
+            if exclusive_use {
+                acc.exclusive |= 1 << idx;
+            }
+            if has(|a| matches!(a, Attribute::ExclusiveInput)) {
+                acc.excl_in |= self.domain_bits[idx];
+            }
+            if has(|a| matches!(a, Attribute::ExclusiveOutput)) {
+                acc.excl_out |= self.domain_bits[idx];
+            }
+            bindings.push((vid, binding, rate));
+        }
+        TrialBind { vdevs, bindings, exit: Some(acc) }
+    }
+
     /// Recomputes which mapped LOUDs are active, walking the stack from
     /// the top and activating every LOUD whose resource needs can be met
     /// ("The server activates as many LOUDs as it can at one time",
     /// paper §5.4).
+    ///
+    /// Memoised (DESIGN.md §5): a root that is not `dirty` and sees the
+    /// same entering claims as at its last bind would bind exactly as
+    /// before, so the walk carries its stored exit claims forward and
+    /// touches nothing else. Only the other roots are trial-bound again.
     pub fn recompute_activation(&mut self) {
-        use std::collections::HashSet;
+        let started = std::time::Instant::now();
         // Bindings and the active set feed the engine's cached plans;
         // any recompute may change them.
         self.invalidate_plans();
-        let mut exclusive_devices: HashSet<usize> = HashSet::new();
-        let mut used_devices: HashSet<usize> = HashSet::new();
-        let mut excl_in_domains: HashSet<u32> = HashSet::new();
-        let mut excl_out_domains: HashSet<u32> = HashSet::new();
-        let stack = self.active_stack.clone();
+        let mut claims = Claims::default();
+        let mut rebinds = 0u64;
         let mut transitions: Vec<(u32, bool)> = Vec::new();
-        for root in stack {
-            let vdevs = self.tree_vdevs(root);
-            // Trial bind.
-            let mut bindings: Vec<(u32, HwBinding, u32)> = Vec::new();
-            let mut ok = true;
-            let mut trial_exclusive: Vec<usize> = Vec::new();
-            let mut trial_used: Vec<usize> = Vec::new();
-            let mut trial_in_domains: Vec<u32> = Vec::new();
-            let mut trial_out_domains: Vec<u32> = Vec::new();
-            for &vid in &vdevs {
-                let Some(v) = self.vdevs.get(&vid) else { continue };
-                if !Self::needs_hardware(v.class) {
-                    bindings.push((vid, HwBinding::Software, v.rate));
-                    continue;
-                }
-                let wants_exclusive_use =
-                    v.attrs.iter().any(|a| matches!(a, Attribute::ExclusiveUse));
-                let mut chosen = None;
-                for idx in 0..self.hw.spec().devices.len() {
-                    if !self.device_matches(idx, v.class, &v.attrs) {
-                        continue;
-                    }
-                    if exclusive_devices.contains(&idx) || trial_exclusive.contains(&idx) {
-                        continue;
-                    }
-                    if wants_exclusive_use
-                        && (used_devices.contains(&idx) || trial_used.contains(&idx))
-                    {
-                        continue;
-                    }
-                    // Ambient-domain exclusion (paper §5.8): an active
-                    // exclusive-input claim blocks input devices sharing
-                    // any of its domains; likewise for output.
-                    let spec = &self.hw.spec().devices[idx];
-                    let blocked = match v.class {
-                        DeviceClass::Input => spec.domains.iter().any(|d| {
-                            excl_in_domains.contains(d) || trial_in_domains.contains(d)
-                        }),
-                        DeviceClass::Output => spec.domains.iter().any(|d| {
-                            excl_out_domains.contains(d) || trial_out_domains.contains(d)
-                        }),
-                        _ => false,
-                    };
-                    if blocked {
-                        continue;
-                    }
-                    chosen = Some(idx);
-                    break;
-                }
-                let Some(idx) = chosen else {
-                    ok = false;
-                    break;
-                };
-                trial_used.push(idx);
-                if wants_exclusive_use {
-                    trial_exclusive.push(idx);
-                }
-                let spec = &self.hw.spec().devices[idx];
-                if v.attrs.iter().any(|a| matches!(a, Attribute::ExclusiveInput)) {
-                    trial_in_domains.extend(spec.domains.iter().copied());
-                }
-                if v.attrs.iter().any(|a| matches!(a, Attribute::ExclusiveOutput)) {
-                    trial_out_domains.extend(spec.domains.iter().copied());
-                }
-                let (binding, rate) = match self.hw.slot(idx) {
-                    Some(HwSlot::Speaker(s)) => {
-                        (HwBinding::Speaker(s), self.hw.speakers[s].rate())
-                    }
-                    Some(HwSlot::Microphone(m)) => {
-                        (HwBinding::Microphone(m), self.hw.microphones[m].rate())
-                    }
-                    Some(HwSlot::Line(l)) => (HwBinding::Line(l), da_hw::pstn::LINE_RATE),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                };
-                bindings.push((vid, binding, rate));
+        // Indexed rather than iterated: the body writes through `self`.
+        for i in 0..self.active_stack.len() {
+            let root = self.active_stack[i];
+            let Some(l) = self.louds.get(&root) else { continue };
+            if !l.dirty && l.claims_in == claims {
+                claims = l.claims_out;
+                continue;
             }
-            let was_active = self.louds.get(&root).map(|l| l.active).unwrap_or(false);
-            if ok {
-                used_devices.extend(trial_used);
-                exclusive_devices.extend(trial_exclusive);
-                excl_in_domains.extend(trial_in_domains);
-                excl_out_domains.extend(trial_out_domains);
-                for (vid, binding, rate) in bindings {
-                    if let Some(v) = self.vdevs.get_mut(&vid) {
-                        v.binding = Some(binding);
-                        if binding != HwBinding::Software {
-                            v.rate = rate;
+            rebinds += 1;
+            let was_active = l.active;
+            let entering = claims;
+            let trial = self.trial_bind(root, entering);
+            match trial.exit {
+                Some(exit) => {
+                    claims = exit;
+                    for (vid, binding, rate) in trial.bindings {
+                        if let Some(v) = self.vdevs.get_mut(&vid) {
+                            v.binding = Some(binding);
+                            if binding != HwBinding::Software {
+                                v.rate = rate;
+                            }
                         }
                     }
                 }
-                if let Some(l) = self.louds.get_mut(&root) {
-                    l.active = true;
-                }
-                if !was_active {
-                    transitions.push((root, true));
-                }
-            } else {
-                for &vid in &vdevs {
-                    if let Some(v) = self.vdevs.get_mut(&vid) {
-                        v.binding = None;
+                None => {
+                    for vid in trial.vdevs {
+                        if let Some(v) = self.vdevs.get_mut(&vid) {
+                            v.binding = None;
+                        }
                     }
                 }
-                if let Some(l) = self.louds.get_mut(&root) {
-                    l.active = false;
-                }
-                if was_active {
-                    transitions.push((root, false));
-                }
+            }
+            let active = trial.exit.is_some();
+            if let Some(l) = self.louds.get_mut(&root) {
+                l.active = active;
+                l.claims_in = entering;
+                l.claims_out = claims;
+                l.dirty = false;
+            }
+            if active != was_active {
+                transitions.push((root, active));
             }
         }
         // Queue state follows activation (paper §5.5: deactivation pauses
@@ -803,6 +877,8 @@ impl Core {
                 }
             }
         }
+        self.tel.metrics.activation_rebinds_total.add(rebinds);
+        self.tel.metrics.activation_us.record_duration_us(started.elapsed());
     }
 
     /// Performs the actual map (after any manager redirection).
@@ -812,6 +888,7 @@ impl Core {
             return;
         }
         l.mapped = true;
+        l.dirty = true;
         self.active_stack.insert(0, root);
         self.send_event(ResKey(0, root), Event::MapNotify { loud: da_proto::ids::LoudId(root) });
         self.recompute_activation();

@@ -108,7 +108,11 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
             if l.owner != client {
                 return Err(err(ErrorCode::BadAccess, id.0, "not owner"));
             }
+            let was_root = l.is_root();
             core.destroy_loud(id.0);
+            if was_root {
+                core.recompute_activation();
+            }
             Ok(None)
         }
         Request::MapLoud { id } => {
@@ -229,9 +233,11 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
             if let Some(l) = core.louds.get_mut(&loud.0) {
                 l.vdevs.push(id.0);
             }
-            // If the tree is already active, rebind so the new device
-            // gets a binding too.
-            if core.louds.get(&root).map(|l| l.active) == Some(true) {
+            // The root's activation memo is stale. If the tree is already
+            // active, rebind now so the new device gets a binding too.
+            let Some(r) = core.louds.get_mut(&root) else { return Ok(None) };
+            r.dirty = true;
+            if r.active {
                 core.recompute_activation();
             }
             Ok(None)
@@ -263,8 +269,12 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
                     ));
                 }
             }
+            let root = v.root;
             if let Some(v) = core.vdevs.get_mut(&id.0) {
                 v.attrs = combined;
+            }
+            if let Some(r) = core.louds.get_mut(&root) {
+                r.dirty = true;
             }
             core.recompute_activation();
             Ok(None)

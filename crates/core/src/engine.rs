@@ -363,6 +363,11 @@ fn make_op(core: &mut Core, vid: u32, cmd: &DeviceCommand) -> Result<Option<Acti
     let Some(v) = core.vdevs.get(&vid) else { return Err(()) };
     match cmd {
         DeviceCommand::Play(sound) => {
+            // Only a player plays: a hardware device's rate is its
+            // binding's, never a sound's.
+            if v.class != DeviceClass::Player {
+                return Err(());
+            }
             let Some(s) = core.sounds.get(&sound.0) else { return Err(()) };
             // The player emits at the sound's native rate; wires adapt
             // toward the consuming device (paper §5.1: players convert
@@ -381,6 +386,9 @@ fn make_op(core: &mut Core, vid: u32, cmd: &DeviceCommand) -> Result<Option<Acti
             }))
         }
         DeviceCommand::Record(sound, term) => {
+            if v.class != DeviceClass::Recorder {
+                return Err(());
+            }
             let Some(s) = core.sounds.get_mut(&sound.0) else { return Err(()) };
             s.reset_for_recording();
             let rate = s.stype.sample_rate;

@@ -93,7 +93,7 @@ pub const OPCODE_TOUCHES: &[(&str, Footprint, &str)] = &[
     ("RequestActivate", Footprint::Cross, "activation walks every tree for preemption"),
     ("RequestDeactivate", Footprint::Cross, "activation walks every tree for preemption"),
     ("QueryActiveStack", Footprint::Cross, "reads the global active stack"),
-    ("CreateVDevice", Footprint::Own, "own loud tree; punts pre-mutation if tree is active"),
+    ("CreateVDevice", Footprint::Own, "own tree + own-shard root memo write; punts if tree active"),
     ("DestroyVDevice", Footprint::Cross, "may rebind hardware and rewrite engine plans"),
     ("AugmentVDevice", Footprint::Cross, "attribute change can force a hardware rebind"),
     ("QueryVDeviceAttributes", Footprint::Own, "own vdev + read-only hardware registry"),
@@ -435,6 +435,11 @@ fn exec_fast(
             core.invalidate_plans();
             if let Some(l) = view.louds.get_mut(&loud.0) {
                 l.vdevs.push(id.0);
+            }
+            // The root's activation memo is stale; the next walk
+            // re-binds it (the root is own-shard, like its tree).
+            if let Some(r) = view.louds.get_mut(&root) {
+                r.dirty = true;
             }
             Done(Ok(None))
         }

@@ -5,6 +5,7 @@
 //! tree controls and coordinates the audio streams of the tree: it is the
 //! unit of mapping, activation and command queueing.
 
+use crate::core::Claims;
 use crate::queue::CommandQueue;
 use da_proto::ids::{ClientId, LoudId};
 
@@ -29,13 +30,35 @@ pub struct Loud {
     /// The command queue (roots only, paper §5.1: "A command queue is
     /// provided for each root LOUD").
     pub queue: Option<CommandQueue>,
+    /// Activation memo (roots only, DESIGN.md §5): the hardware claims
+    /// that entered this root at its last trial bind...
+    pub claims_in: Claims,
+    /// ...and the claims it passed down the stack (equal to `claims_in`
+    /// when the bind failed).
+    pub claims_out: Claims,
+    /// Set by every change to the tree's binding inputs (a device
+    /// created, destroyed or augmented, the root mapped); the next
+    /// activation walk re-binds the root.
+    pub dirty: bool,
 }
 
 impl Loud {
     /// Creates a LOUD; roots get a command queue.
     pub fn new(id: LoudId, owner: ClientId, parent: Option<u32>) -> Self {
         let queue = if parent.is_none() { Some(CommandQueue::new()) } else { None };
-        Loud { id, owner, parent, children: Vec::new(), vdevs: Vec::new(), mapped: false, active: false, queue }
+        Loud {
+            id,
+            owner,
+            parent,
+            children: Vec::new(),
+            vdevs: Vec::new(),
+            mapped: false,
+            active: false,
+            queue,
+            claims_in: Claims::default(),
+            claims_out: Claims::default(),
+            dirty: true,
+        }
     }
 
     /// Whether this LOUD is a root.

@@ -38,12 +38,14 @@ impl AudioServer {
         let quantum = config.quantum_us;
         let manual = config.manual_ticks;
         let io_workers = config.io_workers;
-        let tcp = match &config.tcp_addr {
-            Some(addr) => Some(TcpListener::bind(addr.as_str())?),
-            None => None,
-        };
+        let listen = config.tcp_addr.clone();
+        // A hardware spec the activation bitsets cannot hold is refused
+        // before anything starts.
+        let core = Core::try_new(config)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let tcp = listen.map(|addr| TcpListener::bind(addr.as_str())).transpose()?;
         let tcp_addr = tcp.as_ref().map(|l| l.local_addr()).transpose()?;
-        let core = Arc::new(RwLock::new(Core::new(config)));
+        let core = Arc::new(RwLock::new(core));
         let shutdown = Arc::new(AtomicBool::new(false));
         let plane = ConnPlane::start(&core, &shutdown, io_workers)?;
 

@@ -51,6 +51,12 @@ pub struct ServerMetrics {
     pub plan_cache_rebuilds_total: Counter,
     /// Wall time of one cache rebuild, in microseconds.
     pub plan_build_us: Histogram,
+    // -- activation -------------------------------------------------------
+    /// Wall time of one activation walk, in microseconds.
+    pub activation_us: Histogram,
+    /// Stacked roots actually re-bound by activation walks (the rest
+    /// reuse their memoised bind).
+    pub activation_rebinds_total: Counter,
     // -- queues -----------------------------------------------------------
     /// Queue state transitions, summed over all queues (mirrored).
     pub queue_transitions_total: Counter,
@@ -163,6 +169,8 @@ impl ServerMetrics {
             plan_cache_lookups_total: counter!(reg, "plan_cache_lookups_total"),
             plan_cache_rebuilds_total: counter!(reg, "plan_cache_rebuilds_total"),
             plan_build_us: histogram!(reg, "plan_build_us"),
+            activation_us: histogram!(reg, "activation_us"),
+            activation_rebinds_total: counter!(reg, "activation_rebinds_total"),
             queue_transitions_total: counter!(reg, "queue_transitions_total"),
             queue_entries_enqueued_total: counter!(reg, "queue_entries_enqueued_total"),
             queue_depth: gauge!(reg, "queue_depth"),

@@ -22,7 +22,7 @@
 //! legally drift when activation rebinds the endpoint's hardware rate)
 //! are enforced in dispatch but deliberately not re-checked here.
 
-use crate::core::Core;
+use crate::core::{Claims, Core};
 use crate::plan::build_route_plans;
 use crate::vdevice::HwBinding;
 use da_hw::registry::HwSlot;
@@ -33,7 +33,7 @@ use std::fmt;
 /// One violated invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Catalog identifier (`V1` ... `V14`), matching DESIGN.md.
+    /// Catalog identifier (`V1` ... `V15`), matching DESIGN.md.
     pub invariant: &'static str,
     /// What exactly is inconsistent.
     pub detail: String,
@@ -71,6 +71,7 @@ pub fn check_all(core: &Core) -> Vec<Violation> {
     check_queue_parser(core, &mut out);
     check_client_liveness(core, &mut out);
     check_sound_store(core, &mut out);
+    check_activation_memo(core, &mut out);
     out
 }
 
@@ -582,6 +583,72 @@ fn check_plan_cache(core: &Core, out: &mut Vec<Violation>) {
                 out,
                 "V10",
                 format!("cached route plan for root {root} differs from a fresh recompute"),
+            );
+        }
+    }
+}
+
+/// V15: the activation memo is consistent (DESIGN.md §5). Folding the
+/// stored exit claims down the stack from no claims reproduces every
+/// stacked root's stored entering claims, and every root the next walk
+/// would skip (not `dirty`) holds exactly what a fresh trial bind under
+/// those claims gives — the same `Core::trial_bind` the walk calls —
+/// in its active flag, exit claims, bindings and hardware rates. A
+/// mutation of a tree's binding inputs that forgets to set `dirty`
+/// shows up here as a stale bind.
+fn check_activation_memo(core: &Core, out: &mut Vec<Violation>) {
+    let mut fold = Claims::default();
+    for &r in &core.active_stack {
+        let Some(l) = core.louds.get(&r) else { continue }; // V6 reports it
+        if l.claims_in != fold {
+            violate(
+                out,
+                "V15",
+                format!(
+                    "root {r} memoises entering claims {:?} but the roots above leave {fold:?}",
+                    l.claims_in
+                ),
+            );
+        }
+        fold = l.claims_out;
+        if l.dirty {
+            continue;
+        }
+        let trial = core.trial_bind(r, l.claims_in);
+        if trial.exit.is_some() != l.active || trial.exit.unwrap_or(l.claims_in) != l.claims_out {
+            violate(
+                out,
+                "V15",
+                format!(
+                    "root {r} memoises active={} exit {:?} but a fresh trial bind gives {:?}",
+                    l.active, l.claims_out, trial.exit
+                ),
+            );
+            continue;
+        }
+        let stale_vdevs: Vec<u32> = match trial.exit {
+            Some(_) => trial
+                .bindings
+                .iter()
+                .filter(|&&(vid, b, rate)| {
+                    core.vdevs.get(&vid).is_some_and(|v| {
+                        v.binding != Some(b) || (b != HwBinding::Software && v.rate != rate)
+                    })
+                })
+                .map(|&(vid, _, _)| vid)
+                .collect(),
+            None => trial
+                .vdevs
+                .iter()
+                .copied()
+                .filter(|vid| core.vdevs.get(vid).is_some_and(|v| v.binding.is_some()))
+                .collect(),
+        };
+        if !stale_vdevs.is_empty() {
+            violate(
+                out,
+                "V15",
+                format!("root {r} devices {stale_vdevs:?} differ from a fresh trial bind"),
             );
         }
     }

@@ -7,7 +7,7 @@
 use crossbeam::channel::unbounded;
 use da_proto::ids::{ClientId, LoudId, VDeviceId, WireId};
 use da_proto::request::Request;
-use da_proto::types::{DeviceClass, WireType};
+use da_proto::types::{Attribute, DeviceClass, WireType};
 use da_server::core::{Core, ServerConfig};
 use da_server::dispatch::dispatch;
 use da_server::loud::Loud;
@@ -106,6 +106,31 @@ fn mapped_without_stack_entry_is_caught() {
     core.active_stack.retain(|&r| r != base + 1);
     let found = codes(&core);
     assert!(found.contains(&"V6"), "expected a V6 violation, got {found:?}");
+}
+
+/// V15: an attribute change that forgets to mark its root `dirty`
+/// leaves a memoised bind the next activation walk would wrongly reuse.
+#[test]
+fn attribute_change_without_dirty_is_caught() {
+    let (mut core, client, base) = seeded();
+    let out = base + 0x12;
+    dispatch(&mut core, client, 0, Request::CreateVDevice {
+        id: VDeviceId(out),
+        loud: LoudId(base + 1),
+        class: DeviceClass::Output,
+        attrs: Vec::new(),
+    });
+    dispatch(&mut core, client, 0, Request::MapLoud { id: LoudId(base + 1) });
+    assert!(core.louds.get(&(base + 1)).unwrap().active);
+    assert_eq!(validate::check_all(&core), Vec::new());
+    // Corrupt: the speaker-bound output now asks for a name no speaker
+    // has, so a fresh bind fails, but the root is not marked dirty.
+    core.vdevs.get_mut(&out).unwrap().attrs.push(Attribute::Name("microphone".into()));
+    let found = codes(&core);
+    assert_eq!(found, vec!["V15"], "expected only a V15 violation");
+    // Marking the root dirty is exactly what makes the change legal.
+    core.louds.get_mut(&(base + 1)).unwrap().dirty = true;
+    assert_eq!(validate::check_all(&core), Vec::new());
 }
 
 /// The debug-build dispatch hook turns any violation into a panic at

@@ -130,6 +130,15 @@ impl StatsSnapshot {
                 let _ = writeln!(out, "plans:  no lookups yet");
             }
         }
+        let walks = s.histogram("activation_us");
+        let _ = writeln!(
+            out,
+            "activ:  {} walks · p50 {} us · p99 {} us · {} roots re-bound",
+            walks.map(|h| h.count).unwrap_or(0),
+            walks.map(|h| h.percentile(0.50)).unwrap_or(0),
+            walks.map(|h| h.percentile(0.99)).unwrap_or(0),
+            s.counter("activation_rebinds_total").unwrap_or(0),
+        );
         let _ = writeln!(
             out,
             "wire:   {} frames / {} B in · {} frames / {} B out",
@@ -220,6 +229,7 @@ mod tests {
                     CounterSample { name: "transcode_cache_hits_total".into(), value: 3 },
                     CounterSample { name: "transcode_cache_misses_total".into(), value: 1 },
                     CounterSample { name: "transcode_us_saved_total".into(), value: 12 },
+                    CounterSample { name: "activation_rebinds_total".into(), value: 5 },
                 ],
                 gauges: vec![
                     GaugeSample { name: "active_roots".into(), value: 1 },
@@ -230,12 +240,20 @@ mod tests {
                     GaugeSample { name: "conn_worker_max_connections".into(), value: 2 },
                     GaugeSample { name: "conn_plane_busy_permille".into(), value: 41 },
                 ],
-                histograms: vec![HistogramSample {
-                    name: "engine_tick_us".into(),
-                    count: 4,
-                    sum: 40,
-                    buckets: vec![0, 0, 0, 0, 4],
-                }],
+                histograms: vec![
+                    HistogramSample {
+                        name: "engine_tick_us".into(),
+                        count: 4,
+                        sum: 40,
+                        buckets: vec![0, 0, 0, 0, 4],
+                    },
+                    HistogramSample {
+                        name: "activation_us".into(),
+                        count: 3,
+                        sum: 9,
+                        buckets: vec![0, 0, 3],
+                    },
+                ],
             },
             clients: vec![ClientStatsData {
                 client: ClientId(1),
@@ -282,5 +300,6 @@ mod tests {
         assert!(text.contains("4 payloads / 4096 B shared"));
         assert!(text.contains("75.0% transcode hit"));
         assert!(text.contains("12 us saved"));
+        assert!(text.contains("3 walks · p50 3 us · p99 3 us · 5 roots re-bound"));
     }
 }

@@ -224,6 +224,13 @@ fn demo() -> bool {
         Some(rate) if rate > 0.0 => {}
         other => failures.push(format!("transcode hit rate not positive: {other:?}")),
     }
+    // Activation panel: each of the two play LOUDs was mapped, and each
+    // map walked the stack and bound the newly mapped root.
+    let walks = snap.server.histogram("activation_us").map(|h| h.count).unwrap_or(0);
+    let rebinds = snap.server.counter("activation_rebinds_total").unwrap_or(0);
+    if walks < 2 || rebinds < 2 {
+        failures.push(format!("activation panel not live: {walks} walks, {rebinds} rebinds"));
+    }
     server.shutdown();
     for f in &failures {
         eprintln!("audiostat: FAIL: {f}");

@@ -4,8 +4,8 @@
 mod common;
 
 use common::{connect, start, start_with_hw};
-use da_proto::command::DeviceCommand;
-use da_proto::event::{Event, EventMask};
+use da_proto::command::{DeviceCommand, RecordTermination};
+use da_proto::event::{Event, EventMask, QueueStopReason};
 use da_proto::types::{Attribute, DeviceClass, SoundType, WireType};
 use std::time::Duration;
 
@@ -220,4 +220,79 @@ fn client_disconnect_releases_resources() {
         std::thread::sleep(Duration::from_millis(20));
     }
     server.shutdown();
+}
+
+/// `Play` runs only on a player and `Record` only on a recorder. Queued
+/// on a hardware device either one stops the queue with an error, like
+/// an unknown sound, and the device keeps its bound hardware rate
+/// rather than taking the sound's.
+#[test]
+fn play_or_record_on_hardware_device_stops_queue_with_error() {
+    let (server, mut conn) = start();
+    let control = server.control();
+    let tone = da_dsp::tone::sine(44_100, 440.0, 4_410, 8000);
+    let cd = conn.upload_pcm(SoundType::CD, &tone).unwrap();
+    let rate_of = |v: da_proto::VDeviceId| {
+        control.with_core(|c| c.vdevs.get(&v.0).map(|d| d.rate)).expect("vdev")
+    };
+    let cases = [
+        (DeviceClass::Output, DeviceCommand::Play(cd)),
+        (DeviceClass::Input, DeviceCommand::Record(cd, RecordTermination::MaxFrames(800))),
+    ];
+    for (class, cmd) in cases {
+        let loud = conn.create_loud(None).unwrap();
+        let dev = conn.create_vdevice(loud, class, vec![]).unwrap();
+        conn.select_events(loud, EventMask::QUEUE).unwrap();
+        conn.map_loud(loud).unwrap();
+        conn.sync().unwrap();
+        let bound = rate_of(dev);
+        assert_eq!(bound, 8_000, "{class:?} binds the desktop's 8 kHz device");
+        conn.enqueue_cmd(loud, dev, cmd).unwrap();
+        conn.start_queue(loud).unwrap();
+        let stopped = conn
+            .wait_event(Duration::from_secs(10), |e| matches!(e, Event::QueueStopped { .. }))
+            .unwrap();
+        assert!(
+            matches!(stopped, Event::QueueStopped { reason: QueueStopReason::Error, .. }),
+            "{class:?}: {stopped:?}"
+        );
+        assert_eq!(rate_of(dev), bound, "{class:?} kept its hardware rate");
+    }
+    control.with_core(|c| da_server::validate::check(c)).expect("invariants hold");
+    server.shutdown();
+}
+
+/// Activation claims hold one bit per physical device and one per
+/// ambient domain. A spec with more of either is refused at startup
+/// with a clear error instead of being silently truncated.
+#[test]
+fn oversize_hardware_spec_is_refused_at_startup() {
+    use da_server::core::MAX_CLAIM_BITS;
+    use da_server::{AudioServer, ServerConfig};
+    let refused = |hw: da_hw::registry::HwSpec| {
+        AudioServer::start(ServerConfig { hw, ..ServerConfig::default() })
+            .err()
+            .expect("oversize spec refused")
+    };
+
+    let mut many_devices = da_hw::registry::HwSpec::desktop();
+    let speaker = many_devices.devices[0].clone();
+    while many_devices.devices.len() <= MAX_CLAIM_BITS {
+        many_devices.devices.push(speaker.clone());
+    }
+    let err = refused(many_devices);
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("65 physical devices"), "{err}");
+
+    let mut many_domains = da_hw::registry::HwSpec::desktop();
+    many_domains.devices[0].domains = (0..=MAX_CLAIM_BITS as u32).collect();
+    let err = refused(many_domains);
+    assert!(err.to_string().contains("65 ambient domains"), "{err}");
+
+    // Exactly at the bound still starts.
+    let mut at_bound = da_hw::registry::HwSpec::desktop();
+    at_bound.devices[0].domains = (0..MAX_CLAIM_BITS as u32).collect();
+    AudioServer::start(ServerConfig { hw: at_bound, ..ServerConfig::default() })
+        .expect("64 domains fit")
+        .shutdown();
 }

@@ -17,8 +17,6 @@ fn one_player_fans_out_to_two_speakers() {
     // Desktop-plus-hifi hardware: the same stream reaches both outputs.
     let (server, mut conn) = start_with_hw(da_hw::registry::HwSpec::desktop_hifi());
     let control = server.control();
-    control.set_speaker_capture(0, 200_000);
-    control.set_speaker_capture(1, 800_000);
 
     let loud = conn.create_loud(None).unwrap();
     let player = conn.create_vdevice(loud, DeviceClass::Player, vec![]).unwrap();
@@ -37,6 +35,11 @@ fn one_player_fans_out_to_two_speakers() {
         .upload_pcm(SoundType::TELEPHONE, &da_dsp::tone::sine(8000, 440.0, 8000, 11_000))
         .unwrap();
     conn.enqueue_cmd(loud, player, DeviceCommand::Play(sound)).unwrap();
+    conn.sync().unwrap();
+    // Capture from just before the play starts: the free-running engine
+    // can fill a capture armed at server start with set-up silence.
+    control.set_speaker_capture(0, 200_000);
+    control.set_speaker_capture(1, 800_000);
     conn.start_queue(loud).unwrap();
     conn.wait_event(Duration::from_secs(15), |e| matches!(e, Event::CommandDone { .. }))
         .unwrap();
