@@ -13,7 +13,7 @@
 use crate::atoms::AtomTable;
 use crate::loud::Loud;
 use crate::queue::{CommandQueue, TypedQueue};
-use crate::shard::{ShardSet, ShardedMap};
+use crate::shard::{ShardSet, ShardedMap, SHARDS};
 use crate::sound::{Catalogs, Sound};
 use crate::vdevice::{HwBinding, VDev};
 use crate::wire::Wire;
@@ -216,8 +216,6 @@ pub struct ServerConfig {
     pub manual_ticks: bool,
     /// Vendor string reported at setup.
     pub vendor: String,
-    /// Resource-map shard count (fast-path dispatch concurrency).
-    pub shards: usize,
     /// Connection-plane event-loop worker threads (total I/O threads are
     /// O(this), never O(clients)).
     pub io_workers: usize,
@@ -232,7 +230,6 @@ impl Default for ServerConfig {
             tcp_addr: None,
             manual_ticks: false,
             vendor: "desktop-audio reference server".to_string(),
-            shards: 8,
             io_workers: 4,
         }
     }
@@ -320,7 +317,6 @@ impl Core {
     pub fn try_new(config: ServerConfig) -> Result<Self, String> {
         let domain_bits = domain_bits(&config.hw)?;
         let hw = Hardware::new(config.hw.clone());
-        let shards = config.shards.max(1);
         let tel = crate::telem::ServerTelemetry::default();
         let catalogs = Catalogs::with_system_sounds();
         let store = crate::store::SoundStore::new(&tel.metrics);
@@ -334,15 +330,15 @@ impl Core {
             hw,
             remote_parties: Vec::new(),
             clients: HashMap::new(),
-            louds: ShardedMap::new(shards),
-            vdevs: ShardedMap::new(shards),
-            wires: ShardedMap::new(shards),
-            sounds: ShardedMap::new(shards),
+            louds: ShardedMap::new(SHARDS),
+            vdevs: ShardedMap::new(SHARDS),
+            wires: ShardedMap::new(SHARDS),
+            sounds: ShardedMap::new(SHARDS),
             catalogs,
             store,
             atoms: AtomTable::new(),
-            properties: ShardedMap::new(shards),
-            stripes: ShardSet::new(shards),
+            properties: ShardedMap::new(SHARDS),
+            stripes: ShardSet::new(SHARDS),
             active_stack: Vec::new(),
             domain_bits,
             redirect_client: None,
@@ -564,18 +560,6 @@ impl Core {
     }
 
     // ---- resource helpers ----------------------------------------------------
-
-    /// The root of the LOUD tree containing `loud`.
-    pub fn root_of(&self, loud: u32) -> u32 {
-        let mut cur = loud;
-        while let Some(l) = self.louds.get(&cur) {
-            match l.parent {
-                Some(p) => cur = p,
-                None => return cur,
-            }
-        }
-        cur
-    }
 
     /// Collects every virtual device in the tree rooted at `root`.
     pub fn tree_vdevs(&self, root: u32) -> Vec<u32> {

@@ -1,4 +1,5 @@
-//! Sharded fast-path dispatch (DESIGN.md §13).
+//! Sharded dispatch (DESIGN.md §13): the one handler for every
+//! fast-eligible opcode, and the read-lock fast path that runs it.
 //!
 //! A request is *fast-eligible* when its opcode is on the whitelist
 //! below and every resource id it references belongs to the requesting
@@ -8,13 +9,13 @@
 //! — concurrently with fast-path requests from clients on other shards.
 //! Everything else (activation, destroys, manager redirection, event
 //! selection, stats) punts to the global-write-lock slow path in
-//! [`crate::dispatch`], which sees the exact single-lock world.
+//! [`crate::dispatch`].
 //!
-//! The handlers here mirror the slow-path arms byte for byte in their
-//! observable behaviour (same error codes, same events, same replies);
-//! the debug-build invariant sweep after every fast dispatch and the
-//! soak/model-check harnesses are the safety net for keeping them in
-//! lockstep.
+//! Each `Own`/`Global` opcode has exactly one handler, an arm of
+//! [`exec_shard`], written against a [`ShardView`]. The fast path runs
+//! it over a view of the client's shard; the write-lock path runs the
+//! same arm over an exclusive view of every shard, which is what a
+//! request naming another client's ids needs.
 //!
 //! Aliasing rule: handlers reach the sharded maps **only** through the
 //! [`ShardView`] (never through `core.louds` etc. — mixing a `&` read
@@ -23,32 +24,23 @@
 //! selections, hardware, atoms, catalogs, config, device time) or is
 //! atomic (`topology_gen`).
 
-use crate::core::{Core, ResKey, ServerMsg};
+use crate::core::{res_key, Core, ResKey};
+use crate::dispatch::{err, finish_dispatch, owns_id};
 use crate::loud::Loud;
-use crate::shard::ShardMut;
 use crate::queue::TypedQueue;
+use crate::shard::MapView;
 use crate::sound::Sound;
-use crate::vdevice::VDev;
+use crate::vdevice::{HwBinding, VDev};
 use crate::wire::Wire;
+use da_hw::registry::HwSlot;
 use da_proto::error::{ErrorCode, ProtoError};
 use da_proto::event::Event;
-use da_proto::ids::{ClientId, LoudId, ResourceId};
+use da_proto::ids::{ClientId, DeviceId, LoudId, ResourceId};
 use da_proto::reply::Reply;
 use da_proto::request::Request;
-use da_proto::types::{PortDir, Property, QueueState, WireType};
+use da_proto::types::{PortDir, Property, SoundType, WireType};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-
-type DispatchResult = Result<Option<Reply>, ProtoError>;
-
-fn err(code: ErrorCode, value: u32, detail: impl Into<String>) -> ProtoError {
-    ProtoError::new(code, value, detail)
-}
-
-/// Whether `id` is inside `client`'s allocated id range.
-fn owns_id(client: ClientId, id: u32) -> bool {
-    id >> 20 == client.0 && id & 0x000F_FFFF != 0
-}
 
 /// An own-client resource target (never a physical device).
 fn own_target(client: ClientId, target: ResourceId) -> bool {
@@ -78,11 +70,12 @@ pub enum Footprint {
 
 /// Per-opcode shard footprint, one row per `Request` variant with the
 /// reason the classification holds. The `xtask races` lint cross-checks
-/// this table three ways: every variant has exactly one row, the
-/// [`eligible`] whitelist is exactly the `Own`/`Global` rows, and the
-/// [`exec_fast`] arm set matches the whitelist — so a handler added to
-/// one place but not the others fails CI instead of silently punting or,
-/// worse, running cross-shard work under a read lock.
+/// this table: every variant has exactly one row, the [`eligible`]
+/// whitelist and the [`exec_shard`] arm set are exactly the
+/// `Own`/`Global` rows, and `dispatch::execute`'s own arms are exactly
+/// the `Cross` rows — so a handler added to one place but not the
+/// others fails CI instead of silently punting or, worse, running
+/// cross-shard work under a read lock.
 pub const OPCODE_TOUCHES: &[(&str, Footprint, &str)] = &[
     ("CreateLoud", Footprint::Own, "new loud + own-shard parent link"),
     ("DestroyLoud", Footprint::Cross, "cascades into active stack, selections, engine plans"),
@@ -137,43 +130,142 @@ pub const OPCODE_TOUCHES: &[(&str, Footprint, &str)] = &[
     ("QueryTraces", Footprint::Cross, "snapshots the cross-client flight-recorder ring"),
 ];
 
-/// Exclusive access to one shard's partition of every sharded map. Each
-/// field is a [`ShardMut`] guard: in debug builds its lifetime is
-/// registered with the borrow sanitizer, so any `&Core` read of the same
-/// shard while the view is live panics instead of racing.
+/// Exclusive access to every sharded map, as the handlers see it: one
+/// shard's partition (the fast path) or every shard (the write-lock
+/// path), each key routed to its own shard. Each field is a
+/// [`MapView`] guard: in debug builds its lifetime is registered with
+/// the borrow sanitizer, so any `&Core` read of a covered shard while
+/// the view is live panics instead of racing, and a single-shard view
+/// panics when asked for a key outside its shard.
 pub struct ShardView<'a> {
-    pub louds: ShardMut<'a, u32, Loud>,
-    pub vdevs: ShardMut<'a, u32, VDev>,
-    pub wires: ShardMut<'a, u32, Wire>,
-    pub sounds: ShardMut<'a, u32, Sound>,
-    pub properties: ShardMut<'a, ResKey, HashMap<u32, Property>>,
+    pub louds: MapView<'a, u32, Loud>,
+    pub vdevs: MapView<'a, u32, VDev>,
+    pub wires: MapView<'a, u32, Wire>,
+    pub sounds: MapView<'a, u32, Sound>,
+    pub properties: MapView<'a, ResKey, HashMap<u32, Property>>,
 }
 
 impl<'a> ShardView<'a> {
-    /// Builds the view over shard `shard`.
+    /// Builds the view over shard `only`, or over every shard for
+    /// `None`.
     ///
     /// # Safety
     ///
-    /// The caller must hold the core lock in read mode and stripe
-    /// `shard`, and must not access any of the five sharded maps on
-    /// shard-`shard` keys through `&Core` while the view is live.
-    pub unsafe fn new(core: &'a Core, shard: usize) -> ShardView<'a> {
+    /// For one shard the caller must hold the core lock in read mode and
+    /// that shard's stripe; for every shard, exclusive access to the
+    /// core. Either way it must not access any of the five sharded maps
+    /// through `&Core` while the view is live.
+    pub unsafe fn new(core: &'a Core, only: Option<usize>) -> ShardView<'a> {
         ShardView {
-            louds: core.louds.shard_mut(shard),
-            vdevs: core.vdevs.shard_mut(shard),
-            wires: core.wires.shard_mut(shard),
-            sounds: core.sounds.shard_mut(shard),
-            properties: core.properties.shard_mut(shard),
+            louds: core.louds.view_mut(only),
+            vdevs: core.vdevs.view_mut(only),
+            wires: core.wires.view_mut(only),
+            sounds: core.sounds.view_mut(only),
+            properties: core.properties.view_mut(only),
+        }
+    }
+
+    /// The write-lock form: a view of every shard, returned with the
+    /// shared core the handlers read global state through. The `&mut`
+    /// proves nothing else can reach the core meanwhile.
+    ///
+    /// # Safety
+    ///
+    /// The caller must not access any of the five sharded maps through
+    /// the returned `&Core` while the view is live.
+    pub unsafe fn exclusive(core: &'a mut Core) -> (&'a Core, ShardView<'a>) {
+        let core: &'a Core = core;
+        (core, ShardView::new(core, None))
+    }
+
+    fn loud(&self, id: u32) -> Result<&Loud, ProtoError> {
+        self.louds.get(&id).ok_or_else(|| err(ErrorCode::BadLoud, id, "no such loud"))
+    }
+
+    fn loud_mut(&mut self, id: u32) -> Result<&mut Loud, ProtoError> {
+        self.louds.get_mut(&id).ok_or_else(|| err(ErrorCode::BadLoud, id, "no such loud"))
+    }
+
+    fn vdev(&self, id: u32) -> Result<&VDev, ProtoError> {
+        self.vdevs.get(&id).ok_or_else(|| err(ErrorCode::BadDevice, id, "no such device"))
+    }
+
+    fn wire(&self, id: u32) -> Result<&Wire, ProtoError> {
+        self.wires.get(&id).ok_or_else(|| err(ErrorCode::BadWire, id, "no such wire"))
+    }
+
+    fn sound(&self, id: u32) -> Result<&Sound, ProtoError> {
+        self.sounds.get(&id).ok_or_else(|| err(ErrorCode::BadSound, id, "no such sound"))
+    }
+
+    fn sound_mut(&mut self, id: u32) -> Result<&mut Sound, ProtoError> {
+        self.sounds.get_mut(&id).ok_or_else(|| err(ErrorCode::BadSound, id, "no such sound"))
+    }
+
+    /// The root of the LOUD tree containing `loud`.
+    fn root_of(&self, loud: u32) -> u32 {
+        let mut cur = loud;
+        while let Some(l) = self.louds.get(&cur) {
+            match l.parent {
+                Some(p) => cur = p,
+                None => return cur,
+            }
+        }
+        cur
+    }
+
+    /// Is `to` reachable from `from` along wires? Used for cycle
+    /// rejection. A single-shard view is complete for own-client
+    /// endpoints: wires always join two devices of one owner, so the
+    /// wire graph decomposes per client and a client's component lives
+    /// wholly inside its shard.
+    fn reaches(&self, from: u32, to: u32) -> bool {
+        let mut stack = vec![from];
+        let mut seen = std::collections::HashSet::new();
+        while let Some(v) = stack.pop() {
+            if v == to {
+                return true;
+            }
+            if !seen.insert(v) {
+                continue;
+            }
+            for w in self.wires.values() {
+                if w.src.0 == v {
+                    stack.push(w.dst.0);
+                }
+            }
+        }
+        false
+    }
+
+    /// A property or selection target must exist.
+    pub(crate) fn validate_target(
+        &self,
+        core: &Core,
+        target: ResourceId,
+    ) -> Result<(), ProtoError> {
+        match target {
+            ResourceId::Loud(id) => self.loud(id.0).map(drop),
+            ResourceId::VDevice(id) => self.vdev(id.0).map(drop),
+            ResourceId::Sound(id) => self.sound(id.0).map(drop),
+            ResourceId::Device(id) if id.0 as usize >= core.hw.device_count() => {
+                Err(err(ErrorCode::BadDevice, id.0, "no such physical device"))
+            }
+            ResourceId::Device(_) => Ok(()),
         }
     }
 }
 
-/// Outcome of a fast-path attempt.
-enum FastOutcome {
-    /// Executed to completion (reply/error already determined).
-    Done(DispatchResult),
-    /// Needs the slow path; **no state was mutated**.
-    Punt,
+/// What a shard handler did with a request.
+pub(crate) enum Handled {
+    /// Executed; the reply, if any, is final.
+    Done(Option<Reply>),
+    /// The tree must re-bind at once, which takes the activation walk
+    /// under the write lock. A single-shard view returns this before
+    /// mutating anything, and the caller re-runs the request under the
+    /// write lock; the exclusive view returns it once the request has
+    /// executed (with no reply), and the caller runs the walk.
+    Rebind,
 }
 
 /// Is the request on the fast-path whitelist with every referenced id
@@ -227,7 +319,6 @@ pub fn try_dispatch(core: &RwLock<Core>, client: ClientId, seq: u32, request: &R
             return false;
         }
         let started = std::time::Instant::now();
-        let op = request.opcode();
         c.tel.recorder.dispatch_begin(client.0, seq);
         let shard = (client.0 as usize) % c.stripes.len();
         let waited = std::time::Instant::now();
@@ -236,326 +327,189 @@ pub fn try_dispatch(core: &RwLock<Core>, client: ClientId, seq: u32, request: &R
         let shard_wait = waited.elapsed();
         c.tel.metrics.shard_lock_wait_us.record_duration_us(shard_wait);
         let held = std::time::Instant::now();
-        let _span =
-            da_telemetry::span!(c.tel.journal, "dispatch", client = client.0, opcode = op);
-        let outcome = {
-            // Debug builds tally allocations made by the fast-path
-            // executor itself (readable via `rt::scope_allocs`); the
-            // zero-alloc suite asserts pure opcodes tally zero.
+        let op = request.opcode();
+        let _span = da_telemetry::span!(c.tel.journal, "dispatch", client = client.0, opcode = op);
+        let handled = {
+            // Debug builds tally allocations made by the handler itself
+            // (readable via `rt::scope_allocs`); the zero-alloc suite
+            // asserts pure opcodes tally zero.
             let _count = crate::rt::ScopedAllocGuard::count();
             // SAFETY: core read lock + stripe `shard` held; within this
             // block the sharded maps are accessed only through the view.
-            let mut view = unsafe { ShardView::new(&c, shard) };
-            exec_fast(&c, &mut view, client, seq, request)
+            let mut view = unsafe { ShardView::new(&c, Some(shard)) };
+            exec_shard(&c, &mut view, client, seq, request)
         };
-        let handled = match outcome {
-            FastOutcome::Punt => false,
-            FastOutcome::Done(result) => {
-                c.tel.count_opcode(op as usize);
-                c.tel.metrics.dispatch_requests_total.inc();
-                c.tel.metrics.dispatch_fast_total.inc();
-                if result.is_err() {
-                    c.tel.metrics.dispatch_errors_total.inc();
-                }
-                c.tel.metrics.dispatch_latency_us.record_duration_us(started.elapsed());
-                let completes = !request.has_reply() && result.is_ok();
-                c.tel.recorder.dispatch_done(
-                    client.0,
-                    seq,
-                    true,
-                    shard_wait.as_micros() as u64, // cast-ok: stripe wait in µs, far below u64::MAX
-                    completes,
-                );
-                match result {
-                    Ok(Some(reply)) => c.send_to_client(client, ServerMsg::Reply(seq, reply)),
-                    Ok(None) => {
-                        if request.has_reply() {
-                            c.send_to_client(
-                                client,
-                                ServerMsg::Error(
-                                    seq,
-                                    err(ErrorCode::Unimplemented, 0, "no reply produced"),
-                                ),
-                            );
-                        }
-                    }
-                    Err(e) => c.send_to_client(client, ServerMsg::Error(seq, e)),
-                }
-                true
-            }
+        let result = match handled {
+            Ok(Handled::Rebind) => None,
+            Ok(Handled::Done(reply)) => Some(Ok(reply)),
+            Err(e) => Some(Err(e)),
         };
+        let done = result.is_some();
+        if let Some(result) = result {
+            finish_dispatch(&c, client, seq, request, result, started, Some(shard_wait));
+        }
         c.tel.metrics.shard_lock_hold_us.record_duration_us(held.elapsed());
-        handled
+        done
     };
     // Debug builds re-establish the full invariant set after every fast
     // dispatch, exactly like the slow path — under the write lock, so
     // the sweep sees a quiesced world.
     #[cfg(debug_assertions)]
     if done {
-        let c = core.write();
-        if let Err(v) = crate::validate::check(&c) {
-            let dbg = format!("{request:?}");
-            let name = dbg.split(|ch: char| !ch.is_alphanumeric()).next().unwrap_or("?");
-            panic!("protocol invariant violated after fast-path {name}: {v}");
-        }
+        crate::dispatch::check_invariants(&core.write(), request);
     }
     done
 }
 
-/// The root of the LOUD tree containing `loud`, walking the view.
-fn root_of(louds: &HashMap<u32, Loud>, loud: u32) -> u32 {
-    let mut cur = loud;
-    while let Some(l) = louds.get(&cur) {
-        match l.parent {
-            Some(p) => cur = p,
-            None => return cur,
-        }
-    }
-    cur
-}
-
-/// Is `to` reachable from `from` along this shard's wires? Complete for
-/// own-client endpoints: wires always join two devices of one owner, so
-/// the wire graph decomposes per client and a client's component lives
-/// wholly inside its shard.
-fn reaches(wires: &HashMap<u32, Wire>, from: u32, to: u32) -> bool {
-    let mut stack = vec![from];
-    let mut seen = std::collections::HashSet::new();
-    while let Some(v) = stack.pop() {
-        if v == to {
-            return true;
-        }
-        if !seen.insert(v) {
-            continue;
-        }
-        for w in wires.values() {
-            if w.src.0 == v {
-                stack.push(w.dst.0);
-            }
-        }
-    }
-    false
-}
-
-/// A property/selection target must exist; fast-eligible targets are
-/// always own-client, so the view is authoritative.
-fn validate_target(view: &ShardView, core: &Core, target: ResourceId) -> Result<(), ProtoError> {
-    match target {
-        ResourceId::Loud(id) => view
-            .louds
-            .get(&id.0)
-            .map(|_| ())
-            .ok_or_else(|| err(ErrorCode::BadLoud, id.0, "no such loud")),
-        ResourceId::VDevice(id) => view
-            .vdevs
-            .get(&id.0)
-            .map(|_| ())
-            .ok_or_else(|| err(ErrorCode::BadDevice, id.0, "no such device")),
-        ResourceId::Sound(id) => view
-            .sounds
-            .get(&id.0)
-            .map(|_| ())
-            .ok_or_else(|| err(ErrorCode::BadSound, id.0, "no such sound")),
-        ResourceId::Device(id) => {
-            // Unreachable: device targets are never fast-eligible.
-            let _ = core;
-            Err(err(ErrorCode::BadDevice, id.0, "no such physical device"))
-        }
-    }
-}
-
-/// Executes one fast-eligible request against the client's shard.
-fn exec_fast(
+/// Executes one `Own`/`Global` request against `view`: the one handler
+/// for these opcodes, on both dispatch paths.
+pub(crate) fn exec_shard(
     core: &Core,
     view: &mut ShardView,
     client: ClientId,
     seq: u32,
     request: &Request,
-) -> FastOutcome {
-    use FastOutcome::{Done, Punt};
+) -> Result<Handled, ProtoError> {
+    use Handled::Done;
     match request {
+        // ---- LOUDs and virtual devices ------------------------------------
         Request::CreateLoud { id, parent } => {
-            if view.louds.contains_key(&id.0) {
-                return Done(Err(err(ErrorCode::BadIdChoice, id.0, "loud id unavailable")));
+            if !owns_id(client, id.0) || view.louds.contains_key(&id.0) {
+                return Err(err(ErrorCode::BadIdChoice, id.0, "loud id unavailable"));
             }
-            let parent_raw = match parent {
-                None => None,
-                Some(p) => {
-                    let Some(pl) = view.louds.get(&p.0) else {
-                        return Done(Err(err(ErrorCode::BadLoud, p.0, "parent loud")));
-                    };
-                    if pl.owner != client {
-                        return Done(Err(err(
-                            ErrorCode::BadAccess,
-                            p.0,
-                            "parent owned by another client",
-                        )));
-                    }
-                    Some(p.0)
+            if let Some(p) = parent {
+                let pl = view
+                    .louds
+                    .get_mut(&p.0)
+                    .ok_or_else(|| err(ErrorCode::BadLoud, p.0, "parent loud"))?;
+                if pl.owner != client {
+                    return Err(err(ErrorCode::BadAccess, p.0, "parent owned by another client"));
                 }
-            };
-            view.louds.insert(id.0, Loud::new(*id, client, parent_raw));
-            if let Some(p) = parent_raw {
-                if let Some(pl) = view.louds.get_mut(&p) {
-                    pl.children.push(id.0);
-                }
+                pl.children.push(id.0);
             }
-            Done(Ok(None))
+            view.louds.insert(id.0, Loud::new(*id, client, parent.map(|p| p.0)));
+            Ok(Done(None))
         }
-
         Request::CreateVDevice { id, loud, class, attrs } => {
-            if view.vdevs.contains_key(&id.0) {
-                return Done(Err(err(ErrorCode::BadIdChoice, id.0, "vdevice id unavailable")));
+            if !owns_id(client, id.0) || view.vdevs.contains_key(&id.0) {
+                return Err(err(ErrorCode::BadIdChoice, id.0, "vdevice id unavailable"));
             }
-            let Some(l) = view.louds.get(&loud.0) else {
-                return Done(Err(err(ErrorCode::BadLoud, loud.0, "no such loud")));
-            };
-            if l.owner != client {
-                return Done(Err(err(ErrorCode::BadAccess, loud.0, "not owner")));
+            if view.loud(loud.0)?.owner != client {
+                return Err(err(ErrorCode::BadAccess, loud.0, "not owner"));
             }
-            if Core::needs_hardware(*class) {
-                let any =
-                    (0..core.hw.device_count()).any(|i| core.device_matches(i, *class, attrs));
-                if !any {
-                    return Done(Err(err(
-                        ErrorCode::DeviceBusy,
-                        id.0,
-                        "no physical device satisfies the attribute constraints",
-                    )));
-                }
+            // A hardware-backed class must have at least one matching
+            // physical device, or the request can never be satisfied.
+            if Core::needs_hardware(*class)
+                && !(0..core.hw.device_count()).any(|i| core.device_matches(i, *class, attrs))
+            {
+                return Err(err(
+                    ErrorCode::DeviceBusy,
+                    id.0,
+                    "no physical device satisfies the attribute constraints",
+                ));
             }
-            let root = root_of(&view.louds, loud.0);
-            // An already-active tree must rebind (recompute_activation),
-            // which walks cross-shard state — punt before mutating.
-            if view.louds.get(&root).map(|l| l.active) == Some(true) {
-                return Punt;
+            let root = view.root_of(loud.0);
+            // An active tree must re-bind so the new device gets a
+            // binding too. That walks every tree, so a single-shard view
+            // stops here, before mutating anything.
+            let rebind = view.louds.get(&root).is_some_and(|r| r.active);
+            if rebind && !view.louds.spans_all() {
+                return Ok(Handled::Rebind);
             }
-            let v = VDev::new(*id, client, loud.0, root, *class, attrs.clone());
-            view.vdevs.insert(id.0, v);
+            view.vdevs.insert(id.0, VDev::new(*id, client, loud.0, root, *class, attrs.clone()));
             core.invalidate_plans();
             if let Some(l) = view.louds.get_mut(&loud.0) {
                 l.vdevs.push(id.0);
             }
-            // The root's activation memo is stale; the next walk
-            // re-binds it (the root is own-shard, like its tree).
+            // The root's activation memo is stale; the next walk re-binds
+            // it (the root is in the tree's shard).
             if let Some(r) = view.louds.get_mut(&root) {
                 r.dirty = true;
             }
-            Done(Ok(None))
+            Ok(if rebind { Handled::Rebind } else { Done(None) })
         }
-
         Request::QueryVDeviceAttributes { id } => {
-            let Some(v) = view.vdevs.get(&id.0) else {
-                return Done(Err(err(ErrorCode::BadDevice, id.0, "no such device")));
-            };
-            let mapped_device = match v.binding {
-                Some(crate::vdevice::HwBinding::Speaker(_))
-                | Some(crate::vdevice::HwBinding::Microphone(_))
-                | Some(crate::vdevice::HwBinding::Line(_)) => {
-                    let b = v.binding;
-                    (0..core.hw.device_count())
-                        .find(|&i| match (core.hw.slot(i), b) {
-                            (
-                                Some(da_hw::registry::HwSlot::Speaker(s)),
-                                Some(crate::vdevice::HwBinding::Speaker(bs)),
-                            ) => s == bs,
-                            (
-                                Some(da_hw::registry::HwSlot::Microphone(m)),
-                                Some(crate::vdevice::HwBinding::Microphone(bm)),
-                            ) => m == bm,
-                            (
-                                Some(da_hw::registry::HwSlot::Line(l)),
-                                Some(crate::vdevice::HwBinding::Line(bl)),
-                            ) => l == bl,
-                            _ => false,
-                        })
-                        .map(|i| da_proto::ids::DeviceId(i as u32)) // cast-ok: device-LOUD slot index, bounded by physical device count
-                }
-                _ => None,
-            };
-            Done(Ok(Some(Reply::VDeviceAttributes { attrs: v.attrs.clone(), mapped_device })))
+            let v = view.vdev(id.0)?;
+            // The device-LOUD slot of a hardware binding.
+            let mapped_device = (0..core.hw.device_count())
+                .find(|&i| match (core.hw.slot(i), v.binding) {
+                    (Some(HwSlot::Speaker(s)), Some(HwBinding::Speaker(b))) => s == b,
+                    (Some(HwSlot::Microphone(m)), Some(HwBinding::Microphone(b))) => m == b,
+                    (Some(HwSlot::Line(l)), Some(HwBinding::Line(b))) => l == b,
+                    _ => false,
+                })
+                .map(|i| DeviceId(i as u32)); // cast-ok: device-LOUD slot index, bounded by physical device count
+            Ok(Done(Some(Reply::VDeviceAttributes { attrs: v.attrs.clone(), mapped_device })))
         }
-
         Request::SetSyncInterval { vdev, interval_frames } => {
-            let Some(v) = view.vdevs.get_mut(&vdev.0) else {
-                return Done(Err(err(ErrorCode::BadDevice, vdev.0, "no such device")));
-            };
+            let v = view
+                .vdevs
+                .get_mut(&vdev.0)
+                .ok_or_else(|| err(ErrorCode::BadDevice, vdev.0, "no such device"))?;
             if v.owner != client {
-                return Done(Err(err(ErrorCode::BadAccess, vdev.0, "not owner")));
+                return Err(err(ErrorCode::BadAccess, vdev.0, "not owner"));
             }
             v.sync_interval = *interval_frames;
-            Done(Ok(None))
+            Ok(Done(None))
         }
 
+        // ---- Wires --------------------------------------------------------
         Request::CreateWire { id, src, src_port, dst, dst_port, wire_type } => {
-            if view.wires.contains_key(&id.0) {
-                return Done(Err(err(ErrorCode::BadIdChoice, id.0, "wire id unavailable")));
+            if !owns_id(client, id.0) || view.wires.contains_key(&id.0) {
+                return Err(err(ErrorCode::BadIdChoice, id.0, "wire id unavailable"));
             }
-            let Some(sv) = view.vdevs.get(&src.0) else {
-                return Done(Err(err(ErrorCode::BadDevice, src.0, "no such device")));
-            };
-            let Some(dv) = view.vdevs.get(&dst.0) else {
-                return Done(Err(err(ErrorCode::BadDevice, dst.0, "no such device")));
-            };
+            let (sv, dv) = (view.vdev(src.0)?, view.vdev(dst.0)?);
             if sv.owner != client || dv.owner != client {
-                return Done(Err(err(
-                    ErrorCode::BadAccess,
-                    id.0,
-                    "devices owned by another client",
-                )));
+                return Err(err(ErrorCode::BadAccess, id.0, "devices owned by another client"));
             }
             if src.0 == dst.0 {
-                return Done(Err(err(
-                    ErrorCode::BadMatch,
-                    id.0,
-                    "cannot wire a device to itself",
-                )));
+                return Err(err(ErrorCode::BadMatch, id.0, "cannot wire a device to itself"));
             }
             if sv.root != dv.root {
-                return Done(Err(err(ErrorCode::BadMatch, id.0, "wire crosses LOUD trees")));
+                return Err(err(ErrorCode::BadMatch, id.0, "wire crosses LOUD trees"));
             }
             if !sv.has_port(PortDir::Source, *src_port) {
-                return Done(Err(err(
-                    ErrorCode::BadValue,
-                    u32::from(*src_port),
-                    "bad source port",
-                )));
+                return Err(err(ErrorCode::BadValue, u32::from(*src_port), "bad source port"));
             }
             if !dv.has_port(PortDir::Sink, *dst_port) {
-                return Done(Err(err(
-                    ErrorCode::BadValue,
-                    u32::from(*dst_port),
-                    "bad sink port",
-                )));
+                return Err(err(ErrorCode::BadValue, u32::from(*dst_port), "bad sink port"));
             }
-            let src_t = WireType::Digital(da_proto::types::SoundType {
-                encoding: da_proto::types::Encoding::Pcm16,
-                sample_rate: sv.rate,
-                channels: 1,
-            });
-            let dst_t = WireType::Digital(da_proto::types::SoundType {
-                encoding: da_proto::types::Encoding::Pcm16,
-                sample_rate: dv.rate,
-                channels: 1,
-            });
+            // Type check (paper §5.2): the declared wire type must admit
+            // an endpoint's digital type. Software endpoints are digital
+            // at their operating rate.
+            let digital = |rate| {
+                WireType::Digital(SoundType {
+                    encoding: da_proto::types::Encoding::Pcm16,
+                    sample_rate: rate,
+                    channels: 1,
+                })
+            };
             match wire_type {
                 WireType::Any => {}
                 WireType::Analog => {
-                    return Done(Err(err(
+                    return Err(err(
                         ErrorCode::BadMatch,
                         id.0,
                         "analog wires exist only in the device LOUD",
-                    )));
+                    ));
                 }
+                // The wire carries the source's type; rate adaptation to
+                // the sink is the wire's job, so only the source must
+                // match a tightly specified wire.
                 t @ WireType::Digital(_) => {
-                    if !t.admits(&src_t) && !t.admits(&dst_t) {
-                        return Done(Err(err(ErrorCode::BadMatch, id.0, "wire type mismatch")));
+                    if !t.admits(&digital(sv.rate)) && !t.admits(&digital(dv.rate)) {
+                        return Err(err(ErrorCode::BadMatch, id.0, "wire type mismatch"));
                     }
                 }
             }
-            if reaches(&view.wires, dst.0, src.0) {
-                return Done(Err(err(ErrorCode::BadMatch, id.0, "wire would create a cycle")));
+            // Reject cycles so the engine's topological routing is sound.
+            if view.reaches(dst.0, src.0) {
+                return Err(err(ErrorCode::BadMatch, id.0, "wire would create a cycle"));
             }
+            // Hard-wired hardware constrains virtual wiring (paper §5.2):
+            // when both endpoints are pinned to physical devices and the
+            // source device has permanent connections, the requested path
+            // must follow one of them.
             let pinned = |v: &VDev| {
                 v.attrs.iter().find_map(|a| match a {
                     da_proto::types::Attribute::Device(d) => Some(d.0 as usize),
@@ -566,40 +520,32 @@ fn exec_fast(
                 let hard = &core.hw.spec().hard_wires;
                 let a_constrained = hard.iter().any(|&(s, _, d, _)| s == pa || d == pa);
                 let b_constrained = hard.iter().any(|&(s, _, d, _)| s == pb || d == pb);
-                if a_constrained || b_constrained {
-                    let allowed = hard.iter().any(|&(s, _, d, _)| s == pa && d == pb);
-                    if !allowed {
-                        return Done(Err(err(
-                            ErrorCode::BadMatch,
-                            id.0,
-                            "devices are hard-wired elsewhere; the requested path cannot exist",
-                        )));
-                    }
+                if (a_constrained || b_constrained)
+                    && !hard.iter().any(|&(s, _, d, _)| s == pa && d == pb)
+                {
+                    return Err(err(
+                        ErrorCode::BadMatch,
+                        id.0,
+                        "devices are hard-wired elsewhere; the requested path cannot exist",
+                    ));
                 }
             }
             view.wires
                 .insert(id.0, Wire::new(*id, client, *src, *src_port, *dst, *dst_port, *wire_type));
             core.invalidate_plans();
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::DestroyWire { id } => {
-            let Some(w) = view.wires.get(&id.0) else {
-                return Done(Err(err(ErrorCode::BadWire, id.0, "no such wire")));
-            };
-            if w.owner != client {
-                return Done(Err(err(ErrorCode::BadAccess, id.0, "not owner")));
+            if view.wire(id.0)?.owner != client {
+                return Err(err(ErrorCode::BadAccess, id.0, "not owner"));
             }
             view.wires.remove(&id.0);
             core.invalidate_plans();
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::QueryWire { id } => {
-            let Some(w) = view.wires.get(&id.0) else {
-                return Done(Err(err(ErrorCode::BadWire, id.0, "no such wire")));
-            };
-            Done(Ok(Some(Reply::WireInfo {
+            let w = view.wire(id.0)?;
+            Ok(Done(Some(Reply::WireInfo {
                 src: w.src,
                 src_port: w.src_port,
                 dst: w.dst,
@@ -607,32 +553,24 @@ fn exec_fast(
                 wire_type: w.wire_type,
             })))
         }
-
         Request::QueryDeviceWires { id } => {
-            if !view.vdevs.contains_key(&id.0) {
-                return Done(Err(err(ErrorCode::BadDevice, id.0, "no such device")));
-            }
-            // Own-shard iteration is complete: any wire referencing this
-            // device was created by — and is sharded with — its owner.
-            let wires = view
-                .wires
-                .values()
-                .filter(|w| w.src == *id || w.dst == *id)
-                .map(|w| w.id)
-                .collect();
-            Done(Ok(Some(Reply::DeviceWires { wires })))
+            view.vdev(id.0)?;
+            // A single-shard view sees every wire that matters: a wire
+            // referencing this device was created by, and is sharded
+            // with, its owner.
+            let touches = |w: &&Wire| w.src == *id || w.dst == *id;
+            let wires = view.wires.values().filter(touches).map(|w| w.id).collect();
+            Ok(Done(Some(Reply::DeviceWires { wires })))
         }
 
         // ---- Queues -------------------------------------------------------
         Request::Enqueue { loud, entries } => {
-            let Some(l) = view.louds.get_mut(&loud.0) else {
-                return Done(Err(err(ErrorCode::BadLoud, loud.0, "no such loud")));
-            };
+            let l = view.loud_mut(loud.0)?;
             if l.owner != client {
-                return Done(Err(err(ErrorCode::BadAccess, loud.0, "not owner")));
+                return Err(err(ErrorCode::BadAccess, loud.0, "not owner"));
             }
             if !l.is_root() {
-                return Done(Err(err(ErrorCode::BadLoud, loud.0, "queues live on root LOUDs")));
+                return Err(err(ErrorCode::BadLoud, loud.0, "queues live on root LOUDs"));
             }
             if let Some(q) = l.queue.as_mut() {
                 let first = q.entry_cursor();
@@ -643,70 +581,44 @@ fn exec_fast(
                     core.tel.recorder.register_watch(loud.0, first, client.0, seq);
                 }
             }
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::StartQueue { loud } => {
             let root = loud.0;
-            let Some(l) = view.louds.get_mut(&root) else {
-                return Done(Err(err(ErrorCode::BadLoud, root, "no such loud")));
-            };
+            let l = view.loud_mut(root)?;
             if l.owner != client {
-                return Done(Err(err(ErrorCode::BadAccess, root, "not owner")));
+                return Err(err(ErrorCode::BadAccess, root, "not owner"));
             }
-            let prior = {
-                let Some(q) = l.queue.as_mut() else {
-                    return Done(Err(err(ErrorCode::BadLoud, root, "not a root loud")));
-                };
-                let prior = q.state();
-                match q.typed() {
-                    TypedQueue::Stopped(t) => {
-                        t.start();
-                    }
-                    TypedQueue::ClientPaused(t) => {
-                        t.resume();
-                    }
-                    TypedQueue::Started(_) | TypedQueue::ServerPaused(_) => {}
-                }
-                prior
-            };
-            match prior {
-                QueueState::Stopped => {
+            let q = l.queue.as_mut();
+            let q = q.ok_or_else(|| err(ErrorCode::BadLoud, root, "not a root loud"))?;
+            let mut resumed = Vec::new();
+            match q.typed() {
+                TypedQueue::Stopped(t) => {
+                    t.start();
                     core.send_event(ResKey(0, root), Event::QueueStarted { loud: LoudId(root) });
                 }
-                QueueState::ClientPaused => {
-                    // Unpause the queue's running devices (all in-tree,
-                    // hence own-shard).
-                    let devices = {
-                        let Some(l) = view.louds.get(&root) else { return Done(Ok(None)) };
-                        let mut devs = Vec::new();
-                        if let Some(q) = &l.queue {
-                            if let Some(run) = &q.running {
-                                run.running_devices(&mut devs);
-                            }
-                        }
-                        devs
-                    };
-                    for d in devices {
-                        if let Some(v) = view.vdevs.get_mut(&d.0) {
-                            v.paused = false;
-                        }
+                // StartQueue on a client-paused queue acts as a resume.
+                TypedQueue::ClientPaused(t) => {
+                    t.resume();
+                    if let Some(run) = &q.running {
+                        run.running_devices(&mut resumed);
                     }
                     core.send_event(ResKey(0, root), Event::QueueResumed { loud: LoudId(root) });
                 }
-                QueueState::Started | QueueState::ServerPaused => {}
+                TypedQueue::Started(_) | TypedQueue::ServerPaused(_) => {}
             }
-            Done(Ok(None))
+            // The queue's running devices are in its tree, hence its shard.
+            for d in resumed {
+                if let Some(v) = view.vdevs.get_mut(&d.0) {
+                    v.paused = false;
+                }
+            }
+            Ok(Done(None))
         }
-
         Request::QueryQueue { loud } => {
-            let Some(l) = view.louds.get(&loud.0) else {
-                return Done(Err(err(ErrorCode::BadLoud, loud.0, "no such loud")));
-            };
-            let Some(q) = &l.queue else {
-                return Done(Err(err(ErrorCode::BadLoud, loud.0, "not a root loud")));
-            };
-            Done(Ok(Some(Reply::QueueInfo {
+            let q = view.loud(loud.0)?.queue.as_ref();
+            let q = q.ok_or_else(|| err(ErrorCode::BadLoud, loud.0, "not a root loud"))?;
+            Ok(Done(Some(Reply::QueueInfo {
                 state: q.state(),
                 pending: q.pending_len(),
                 relative_frames: q.relative_frames,
@@ -715,110 +627,92 @@ fn exec_fast(
 
         // ---- Sounds -------------------------------------------------------
         Request::CreateSound { id, stype } => {
-            if view.sounds.contains_key(&id.0) {
-                return Done(Err(err(ErrorCode::BadIdChoice, id.0, "sound id unavailable")));
+            if !owns_id(client, id.0) || view.sounds.contains_key(&id.0) {
+                return Err(err(ErrorCode::BadIdChoice, id.0, "sound id unavailable"));
             }
             if stype.sample_rate == 0 || stype.channels == 0 {
-                return Done(Err(err(ErrorCode::BadValue, id.0, "bad sound type")));
+                return Err(err(ErrorCode::BadValue, id.0, "bad sound type"));
             }
             view.sounds.insert(id.0, Sound::new(*id, client, *stype));
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::OpenCatalogSound { id, catalog, name } => {
-            if view.sounds.contains_key(&id.0) {
-                return Done(Err(err(ErrorCode::BadIdChoice, id.0, "sound id unavailable")));
+            if !owns_id(client, id.0) || view.sounds.contains_key(&id.0) {
+                return Err(err(ErrorCode::BadIdChoice, id.0, "sound id unavailable"));
             }
-            let Some(cat) = core.catalogs.get(catalog, name) else {
-                return Done(Err(err(ErrorCode::BadValue, id.0, "no such catalogue sound")));
-            };
+            let cat = core
+                .catalogs
+                .get(catalog, name)
+                .ok_or_else(|| err(ErrorCode::BadValue, id.0, "no such catalogue sound"))?;
             view.sounds.insert(id.0, Sound::from_catalog(*id, client, cat));
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::WriteSoundData { id, data, eof } => {
-            let Some(s) = view.sounds.get_mut(&id.0) else {
-                return Done(Err(err(ErrorCode::BadSound, id.0, "no such sound")));
-            };
+            let s = view.sound_mut(id.0)?;
             if s.owner != client {
-                return Done(Err(err(ErrorCode::BadAccess, id.0, "not owner")));
+                return Err(err(ErrorCode::BadAccess, id.0, "not owner"));
             }
             if s.complete {
-                return Done(Err(err(ErrorCode::BadMatch, id.0, "sound already complete")));
+                return Err(err(ErrorCode::BadMatch, id.0, "sound already complete"));
             }
             if s.len_bytes() + data.len() as u64 > da_proto::types::MAX_SOUND_BYTES {
                 // Rejected before any allocation, mirroring the
                 // connection plane's oversized-frame policy.
                 core.tel.metrics.sounds_rejected_oversize_total.inc();
-                return Done(Err(err(ErrorCode::BadValue, id.0, "sound exceeds maximum size")));
+                return Err(err(ErrorCode::BadValue, id.0, "sound exceeds maximum size"));
             }
             if !s.append(data, *eof) {
-                return Done(Err(err(
-                    ErrorCode::BadMatch,
-                    id.0,
-                    "catalogue sounds are immutable",
-                )));
+                return Err(err(ErrorCode::BadMatch, id.0, "catalogue sounds are immutable"));
             }
             if s.complete {
                 // Final block: intern the finished payload so identical
                 // content across clients shares one allocation
                 // (DESIGN.md §17). The store is a leaf below the stripe.
-                let (arc, hash) =
-                    core.store.intern_payload(s.stype, std::mem::take(&mut s.data));
+                let (arc, hash) = core.store.intern_payload(s.stype, std::mem::take(&mut s.data));
                 s.shared = Some(arc);
                 s.content_hash = Some(hash);
             }
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::ReadSoundData { id, offset, len } => {
-            let Some(s) = view.sounds.get(&id.0) else {
-                return Done(Err(err(ErrorCode::BadSound, id.0, "no such sound")));
-            };
+            let s = view.sound(id.0)?;
             let bytes = s.bytes();
             let start = (*offset as usize).min(bytes.len());
             let end = start.saturating_add(*len as usize).min(bytes.len());
-            Done(Ok(Some(Reply::SoundData {
+            Ok(Done(Some(Reply::SoundData {
                 data: bytes[start..end].to_vec(),
                 // A streaming sound's tail is not the end: more data may
                 // arrive until the `eof` block lands.
                 at_end: s.complete && end == bytes.len(),
             })))
         }
-
         Request::QuerySound { id } => {
-            let Some(s) = view.sounds.get(&id.0) else {
-                return Done(Err(err(ErrorCode::BadSound, id.0, "no such sound")));
-            };
-            Done(Ok(Some(Reply::SoundInfo {
+            let s = view.sound(id.0)?;
+            Ok(Done(Some(Reply::SoundInfo {
                 stype: s.stype,
                 bytes: s.len_bytes(),
                 frames: s.len_frames(),
                 complete: s.complete,
             })))
         }
-
         Request::ListCatalog { catalog } => {
-            Done(Ok(Some(Reply::Catalog { names: core.catalogs.list(catalog) })))
+            Ok(Done(Some(Reply::Catalog { names: core.catalogs.list(catalog) })))
         }
 
-        // ---- Atoms & properties -------------------------------------------
+        // ---- Atoms and properties -----------------------------------------
         Request::GetAtomName { atom } => match core.atoms.name(*atom) {
-            Some(n) => Done(Ok(Some(Reply::AtomName { name: n.to_string() }))),
-            None => Done(Err(err(ErrorCode::BadAtom, atom.0, "unknown atom"))),
+            Some(n) => Ok(Done(Some(Reply::AtomName { name: n.to_string() }))),
+            None => Err(err(ErrorCode::BadAtom, atom.0, "unknown atom")),
         },
-
         Request::ChangeProperty { target, name, type_, value } => {
-            if let Err(e) = validate_target(view, core, *target) {
-                return Done(Err(e));
-            }
+            view.validate_target(core, *target)?;
             if core.atoms.name(*name).is_none() {
-                return Done(Err(err(ErrorCode::BadAtom, name.0, "unknown property atom")));
+                return Err(err(ErrorCode::BadAtom, name.0, "unknown property atom"));
             }
             if core.atoms.name(*type_).is_none() {
-                return Done(Err(err(ErrorCode::BadAtom, type_.0, "unknown type atom")));
+                return Err(err(ErrorCode::BadAtom, type_.0, "unknown type atom"));
             }
-            let key = crate::core::res_key(*target);
+            let key = res_key(*target);
             view.properties
                 .entry(key)
                 .or_default()
@@ -827,66 +721,55 @@ fn exec_fast(
                 key,
                 Event::PropertyNotify { target: *target, name: *name, deleted: false },
             );
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::GetProperty { target, name } => {
-            if let Err(e) = validate_target(view, core, *target) {
-                return Done(Err(e));
-            }
-            let key = crate::core::res_key(*target);
-            let property = view.properties.get(&key).and_then(|m| m.get(&name.0)).cloned();
-            Done(Ok(Some(Reply::Property { property })))
+            view.validate_target(core, *target)?;
+            let property =
+                view.properties.get(&res_key(*target)).and_then(|m| m.get(&name.0)).cloned();
+            Ok(Done(Some(Reply::Property { property })))
         }
-
         Request::DeleteProperty { target, name } => {
-            if let Err(e) = validate_target(view, core, *target) {
-                return Done(Err(e));
-            }
-            let key = crate::core::res_key(*target);
-            let removed =
-                view.properties.get_mut(&key).and_then(|m| m.remove(&name.0)).is_some();
+            view.validate_target(core, *target)?;
+            let key = res_key(*target);
+            let removed = view.properties.get_mut(&key).and_then(|m| m.remove(&name.0)).is_some();
             if removed {
                 core.send_event(
                     key,
                     Event::PropertyNotify { target: *target, name: *name, deleted: true },
                 );
             }
-            Done(Ok(None))
+            Ok(Done(None))
         }
-
         Request::ListProperties { target } => {
-            if let Err(e) = validate_target(view, core, *target) {
-                return Done(Err(e));
-            }
-            let key = crate::core::res_key(*target);
+            view.validate_target(core, *target)?;
             let names = view
                 .properties
-                .get(&key)
+                .get(&res_key(*target))
                 .map(|m| m.values().map(|p| p.name).collect())
                 .unwrap_or_default();
-            Done(Ok(Some(Reply::PropertyList { names })))
+            Ok(Done(Some(Reply::PropertyList { names })))
         }
 
         // ---- Miscellaneous ------------------------------------------------
-        Request::GetServerInfo => Done(Ok(Some(Reply::ServerInfo {
+        Request::GetServerInfo => Ok(Done(Some(Reply::ServerInfo {
             vendor: core.config.vendor.clone(),
             protocol_major: da_proto::PROTOCOL_MAJOR,
             protocol_minor: da_proto::PROTOCOL_MINOR,
             device_time: core.device_time,
         }))),
-        Request::Sync => Done(Ok(Some(Reply::Sync))),
+        Request::Sync => Ok(Done(Some(Reply::Sync))),
 
-        // Anything else on the whitelist is a bug in `eligible`; punt so
-        // the slow path produces the authoritative answer.
-        _ => Punt,
+        // `Cross` opcodes have their arms in `dispatch::execute`, and
+        // `eligible` never admits them; `xtask races` checks both.
+        _ => Err(err(ErrorCode::Unimplemented, 0, "no shard handler for this opcode")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::ServerConfig;
+    use crate::core::{ServerConfig, ServerMsg};
     use crossbeam::channel::unbounded;
     use da_proto::request::Request;
 
@@ -929,5 +812,27 @@ mod tests {
             Ok(ServerMsg::Reply(9, Reply::Sync)) => {}
             other => panic!("expected Sync reply, got {other:?}"),
         }
+    }
+
+    /// `eligible` promises a single-shard view only ever sees keys of
+    /// its own shard; in debug builds the view checks that promise.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn single_shard_view_refuses_keys_of_other_shards() {
+        let (core, client, _rx) = rigged();
+        let c = core.read();
+        let shard = client.0 as usize % c.stripes.len();
+        let _stripe = c.stripes.stripe(shard).lock();
+        // SAFETY: core read lock + stripe `shard` held; the maps are
+        // reached only through the view.
+        let view = unsafe { ShardView::new(&c, Some(shard)) };
+        assert!(view.louds.get(&((client.0 << 20) | 1)).is_none());
+        let foreign = ((client.0 + 1) << 20) | 1;
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            view.louds.get(&foreign).is_some()
+        }))
+        .expect_err("a key of another shard must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("shard view"), "unexpected panic: {msg}");
     }
 }

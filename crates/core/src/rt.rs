@@ -14,7 +14,7 @@
 //!   kept in lockstep by review, and a relax scope without a marker
 //!   (or vice versa) is a PR defect.
 //! - [`ScopedAllocGuard::count`] — count mode. Wrapped around the
-//!   fast-path `exec_fast` call; allocations are tallied per-thread
+//!   fast path's `exec_shard` call; allocations are tallied per-thread
 //!   (readable via [`scope_allocs`]) instead of panicking, because
 //!   creation/query arms legitimately allocate replies and resources.
 //!   The zero-alloc suite asserts the *pure* opcodes tally zero.
@@ -168,7 +168,7 @@ impl Drop for ScopedAllocGuard {
 
 /// Total allocations this thread has made under count-mode guards.
 /// Sample before and after to measure one region (the zero-alloc suite
-/// measures `exec_fast` through this).
+/// measures the fast path's `exec_shard` through this).
 pub fn scope_allocs() -> usize {
     #[cfg(debug_assertions)]
     {

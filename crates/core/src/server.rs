@@ -170,7 +170,7 @@ impl ServerControl {
     /// Runs one request through the sharded fast path on the calling
     /// thread, bypassing the connection plane. Returns whether the fast
     /// path handled it (`false` punts to the slow path *without* running
-    /// it). Lets tests measure `exec_fast` synchronously — the per-thread
+    /// it). Lets tests measure `exec_shard` synchronously — the per-thread
     /// [`crate::rt::scope_allocs`] tally is only visible to the thread
     /// that dispatched.
     pub fn fast_dispatch(

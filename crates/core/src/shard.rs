@@ -1,15 +1,15 @@
 //! Sharded resource maps and per-shard stripe locks (DESIGN.md §13).
 //!
 //! The core's resource maps (LOUDs, vdevices, wires, sounds, properties)
-//! are partitioned into `N` shards by **owning client**: every resource
-//! id carries its creator in the high bits (`id >> 20`), so one client's
-//! resources always land in one shard. The fast dispatch path takes the
-//! core `RwLock` in *read* mode plus the one stripe lock for the
-//! requesting client's shard, and may then mutate that shard's partition
-//! of every sharded map while reading (never writing) global state. The
-//! slow path takes the core lock in *write* mode and sees the exact
-//! pre-sharding world: `ShardedMap` keeps the `HashMap` surface the rest
-//! of the server was written against.
+//! are partitioned into [`SHARDS`] shards by **owning client**: every
+//! resource id carries its creator in the high bits (`id >> 20`), so one
+//! client's resources always land in one shard. The fast dispatch path
+//! takes the core `RwLock` in *read* mode plus the one stripe lock for
+//! the requesting client's shard, and may then mutate that shard's
+//! partition of every sharded map while reading (never writing) global
+//! state. The slow path takes the core lock in *write* mode and sees the
+//! exact pre-sharding world: `ShardedMap` keeps the `HashMap` surface the
+//! rest of the server was written against.
 //!
 //! # Safety protocol
 //!
@@ -19,13 +19,15 @@
 //!
 //! 1. **Write lock** (`core.write()`): unrestricted access, exactly the
 //!    old single-mutex world. All `&self`/`&mut self` methods are safe.
-//! 2. **Read lock** (`core.read()`): a thread may call
-//!    [`ShardedMap::shard_mut`] for shard `s` only while holding stripe
-//!    `s` (see [`ShardSet`]), and while that `&mut` view is live it must
-//!    not touch the same map through any `&self` accessor. Different
-//!    shards never alias (distinct `UnsafeCell`s); the same shard is
-//!    serialised by its stripe; readers-vs-writer is excluded by the
-//!    `RwLock` itself.
+//! 2. **Read lock** (`core.read()`): a thread may take a view of shard
+//!    `s` ([`ShardedMap::shard_mut`], or [`ShardedMap::view_mut`] with
+//!    `Some(s)`) only while holding stripe `s` (see [`ShardSet`]), and
+//!    while that view is live it must not touch the same map through
+//!    any `&self` accessor. Different shards never alias (distinct
+//!    `UnsafeCell`s); the same shard is serialised by its stripe;
+//!    readers-vs-writer is excluded by the `RwLock` itself. A view of
+//!    every shard (`view_mut(None)`) needs exclusive access to the map's
+//!    owner, i.e. the write lock.
 //! 3. Lock order is `core` → `stripe`, at most one stripe per thread
 //!    (enforced by the xtask LOCK_ORDER lint).
 //!
@@ -35,19 +37,21 @@
 //! `cargo run -p xtask -- races` lint checks it statically, the
 //! modelcheck scheduler explores interleavings of it, and — here — a
 //! dependency-free borrow sanitizer watches it at runtime. Each shard
-//! carries one atomic word (bit 31 = live [`shard_mut`] view, low bits =
-//! live readers). [`ShardedMap::shard_mut`] returns a [`ShardMut`] guard
-//! that registers a writer for its lifetime; every `&self` accessor
-//! opens a reader window around its `HashMap` operation. Overlapping
-//! exclusive views or a read during an exclusive view panic with a
-//! `shard sanitizer:` message instead of silently racing. The whole
-//! mechanism is `#[cfg(debug_assertions)]`: release builds compile the
-//! guard down to a plain `&mut HashMap` wrapper with no atomics.
+//! carries one atomic word (bit 31 = live exclusive view, low bits =
+//! live readers). [`ShardedMap::view_mut`] returns a [`MapView`] guard
+//! (and [`ShardedMap::shard_mut`] a one-shard [`ShardMut`] around one)
+//! that registers a writer on each shard it covers for its lifetime;
+//! every `&self` accessor opens a reader window around its `HashMap`
+//! operation. Overlapping exclusive views or a read during an exclusive
+//! view panic with a `shard sanitizer:` message instead of silently
+//! racing. The whole mechanism is `#[cfg(debug_assertions)]`: release
+//! builds compile the guard down to a plain reference with no atomics.
 
 use std::cell::UnsafeCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Range;
 
 use crate::core::ResKey;
 
@@ -122,6 +126,9 @@ impl ShardFlags {
     }
 }
 
+/// Shard count of the core's resource maps and its stripe set.
+pub const SHARDS: usize = 8;
+
 /// Client id space: resource ids are `client << ID_SHIFT | serial`.
 pub const ID_SHIFT: u32 = 20;
 
@@ -163,38 +170,125 @@ pub struct ShardedMap<K, V> {
     flags: ShardFlags,
 }
 
-/// Exclusive view of one shard's partition, returned by
-/// [`ShardedMap::shard_mut`]. Dereferences to the shard's `HashMap`.
+/// A [`ShardedMap`] as a dispatch handler sees it, returned by
+/// [`ShardedMap::view_mut`]: exclusive access to one shard (the fast
+/// path, under the core read lock and that shard's stripe) or to every
+/// shard (the write-lock path), with each key routed to its own shard.
+/// A single-shard view debug-asserts that every key it is asked for
+/// lies in its shard.
 ///
 /// In debug builds, constructing it registers an exclusive borrow with
-/// the shard's sanitizer word and dropping it unregisters; overlapping
-/// views and concurrent `&self` reads panic. Release builds compile it
-/// to a transparent `&mut HashMap` wrapper.
-pub struct ShardMut<'a, K, V> {
-    map: &'a mut HashMap<K, V>,
-    #[cfg(debug_assertions)]
-    flags: &'a ShardFlags,
-    #[cfg(debug_assertions)]
-    idx: usize,
+/// the sanitizer word of each shard it covers and dropping it
+/// unregisters; overlapping views and concurrent `&self` reads panic.
+pub struct MapView<'a, K, V> {
+    map: &'a ShardedMap<K, V>,
+    /// The one shard covered, or `None` for every shard.
+    only: Option<usize>,
 }
+
+impl<K, V> MapView<'_, K, V> {
+    fn covered(&self) -> Range<usize> {
+        self.map.covered(self.only)
+    }
+
+    fn part(&self, idx: usize) -> &HashMap<K, V> {
+        // SAFETY: this view holds exclusive access to the shards it
+        // covers (the `view_mut` contract), and `&self` keeps the
+        // returned borrow shared.
+        unsafe { &*self.map.shards[idx].get() }
+    }
+
+    fn part_mut(&mut self, idx: usize) -> &mut HashMap<K, V> {
+        // SAFETY: as in `part`; `&mut self` makes the borrow unique.
+        unsafe { &mut *self.map.shards[idx].get() }
+    }
+
+    /// Whether the view covers every shard (the write-lock form).
+    pub fn spans_all(&self) -> bool {
+        self.only.is_none()
+    }
+}
+
+impl<K: ShardKey, V> MapView<'_, K, V> {
+    /// The shard `key` lives in, which the view must cover. A
+    /// single-shard view only ever touches its own shard, so even a key
+    /// of another shard cannot reach memory the view does not hold.
+    fn shard(&self, key: &K) -> usize {
+        let idx = || self.map.shard_of(key);
+        debug_assert!(
+            self.only.is_none_or(|s| s == idx()),
+            "shard view: key of shard {} asked of the view of shard {:?}",
+            idx(),
+            self.only
+        );
+        self.only.unwrap_or_else(idx)
+    }
+
+    /// Looks up a key.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.part(self.shard(key)).get(key)
+    }
+
+    /// Whether the key is present.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.part(self.shard(key)).contains_key(key)
+    }
+
+    /// Mutable lookup.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let idx = self.shard(key);
+        self.part_mut(idx).get_mut(key)
+    }
+
+    /// Inserts, returning any previous value.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let idx = self.shard(&key);
+        self.part_mut(idx).insert(key, value)
+    }
+
+    /// Removes a key.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let idx = self.shard(key);
+        self.part_mut(idx).remove(key)
+    }
+
+    /// Entry API on the key's shard.
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        let idx = self.shard(&key);
+        self.part_mut(idx).entry(key)
+    }
+
+    /// Iterates the values of every covered shard.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.covered().flat_map(move |i| self.part(i).values())
+    }
+}
+
+impl<K, V> Drop for MapView<'_, K, V> {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        for i in self.covered() {
+            self.map.flags.end_write(i);
+        }
+    }
+}
+
+/// Exclusive view of one shard's partition, returned by
+/// [`ShardedMap::shard_mut`]: a one-shard [`MapView`] that dereferences
+/// to the shard's `HashMap` itself.
+pub struct ShardMut<'a, K, V>(MapView<'a, K, V>);
 
 impl<K, V> std::ops::Deref for ShardMut<'_, K, V> {
     type Target = HashMap<K, V>;
     fn deref(&self) -> &HashMap<K, V> {
-        self.map
+        self.0.part(self.0.covered().start)
     }
 }
 
 impl<K, V> std::ops::DerefMut for ShardMut<'_, K, V> {
     fn deref_mut(&mut self) -> &mut HashMap<K, V> {
-        self.map
-    }
-}
-
-impl<K, V> Drop for ShardMut<'_, K, V> {
-    fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        self.flags.end_write(self.idx);
+        let idx = self.0.covered().start;
+        self.0.part_mut(idx)
     }
 }
 
@@ -208,6 +302,13 @@ unsafe impl<K: Send, V: Send> Send for ShardedMap<K, V> {}
 // many threads at once, so `K: Sync + V: Sync` is also required — with
 // only `Send`, safe code could race a `Cell` value through `get()`.
 unsafe impl<K: Send + Sync, V: Send + Sync> Sync for ShardedMap<K, V> {}
+
+impl<K, V> ShardedMap<K, V> {
+    /// The shards a view of `only` (one shard, or all for `None`) covers.
+    fn covered(&self, only: Option<usize>) -> Range<usize> {
+        only.map_or(0..self.shards.len(), |s| s..s + 1)
+    }
+}
 
 impl<K: ShardKey, V> ShardedMap<K, V> {
     /// An empty map with `n` shards (minimum 1).
@@ -264,23 +365,31 @@ impl<K: ShardKey, V> ShardedMap<K, V> {
     }
 
     /// Exclusive view of one shard's partition through a shared
-    /// reference — the fast-path entry point.
+    /// reference.
     ///
     /// # Safety
     ///
-    /// The caller must hold the core lock in read mode *and* stripe
-    /// `idx`, and must not access this map through any other method
-    /// (on any shard-`idx` key) while the returned guard is live.
+    /// As for [`view_mut`](Self::view_mut) with `Some(idx)`.
     pub unsafe fn shard_mut(&self, idx: usize) -> ShardMut<'_, K, V> {
+        ShardMut(self.view_mut(Some(idx)))
+    }
+
+    /// Exclusive, key-routed view of shard `only`, or of every shard
+    /// when `None`, through a shared reference.
+    ///
+    /// # Safety
+    ///
+    /// For one shard the caller must hold the core lock in read mode
+    /// *and* that shard's stripe; for every shard it must have
+    /// exclusive access to the core (the write lock). Either way it must
+    /// not access this map through any other method while the returned
+    /// view is live.
+    pub unsafe fn view_mut(&self, only: Option<usize>) -> MapView<'_, K, V> {
         #[cfg(debug_assertions)]
-        self.flags.begin_write(idx);
-        ShardMut {
-            map: &mut *self.shards[idx].get(),
-            #[cfg(debug_assertions)]
-            flags: &self.flags,
-            #[cfg(debug_assertions)]
-            idx,
+        for i in self.covered(only) {
+            self.flags.begin_write(i);
         }
+        MapView { map: self, only }
     }
 
     /// Looks up a key.

@@ -65,7 +65,7 @@ pub struct Sources {
     /// `hw/src/*.rs`.
     pub server_files: Vec<(String, String)>,
     /// All codec sources: `(path, text)` for `proto/src/*.rs` (the
-    /// `casts` pass scans these plus the dispatcher).
+    /// `casts` pass scans these plus the request handlers).
     pub proto_files: Vec<(String, String)>,
     /// All client-library sources: `(path, text)` for `alib/src/*.rs`
     /// (the `unwrap` pass scans these — a panic in Alib kills the
@@ -350,6 +350,7 @@ const EVENT_RS: &str = "crates/proto/src/event.rs";
 const ERROR_RS: &str = "crates/proto/src/error.rs";
 const ALIB_ERROR_RS: &str = "crates/alib/src/error.rs";
 const DISPATCH_RS: &str = "crates/core/src/dispatch.rs";
+const FASTPATH_RS: &str = "crates/core/src/fastpath.rs";
 const REPLY_RS: &str = "crates/proto/src/reply.rs";
 const DESIGN_MD: &str = "DESIGN.md";
 
@@ -405,8 +406,9 @@ pub fn lint_opcode_tables(request_src: &str) -> Vec<Finding> {
 }
 
 /// Dispatch exhaustiveness: every `Request` variant appears as a match
-/// arm in `core::dispatch`. The compiler enforces this only while the
-/// match has no catch-all; the lint keeps enforcing it if one appears.
+/// arm in the request handlers (`handler_sources`). The compiler
+/// cannot enforce this across the two handler matches, which end in
+/// catch-alls; the lint does.
 pub fn lint_dispatch_exhaustive(request_src: &str, dispatch_src: &str) -> Vec<Finding> {
     const PASS: &str = "dispatch-exhaustive";
     let mut out = Vec::new();
@@ -425,14 +427,15 @@ pub fn lint_dispatch_exhaustive(request_src: &str, dispatch_src: &str) -> Vec<Fi
 }
 
 /// Reply coverage: a request is marked `has_reply` iff its dispatch arm
-/// can produce `Ok(Some(reply))`. Drift in either direction deadlocks
-/// or desynchronises clients, which block on replies by sequence number.
+/// can produce a reply: `Ok(Some(reply))`, or `Done(Some(reply))` in a
+/// shard handler. Drift in either direction deadlocks or desynchronises
+/// clients, which block on replies by sequence number.
 pub fn lint_reply_coverage(request_src: &str, dispatch_src: &str) -> Vec<Finding> {
     const PASS: &str = "reply-coverage";
     let mut out = Vec::new();
     let declared = reply_variants(request_src);
     for (variant, body) in dispatch_arms(dispatch_src) {
-        let produces = body.contains("Ok(Some(");
+        let produces = body.contains("Ok(Some(") || body.contains("Done(Some(");
         if declared.contains(&variant) && !produces {
             out.push(finding(
                 PASS,
@@ -973,7 +976,8 @@ pub fn lint_lock_order(server_files: &[(String, String)]) -> Vec<Finding> {
 const NARROWING_CASTS: [&str; 6] = [" as u8", " as u16", " as u32", " as i8", " as i16", " as i32"];
 
 /// Cast lint: no unchecked `as` integer narrowing in the wire paths
-/// (`crates/proto/src/*.rs` and `crates/core/src/dispatch.rs`).
+/// (`crates/proto/src/*.rs` and the request handlers in
+/// `crates/core/src/{dispatch,fastpath}.rs`).
 ///
 /// Lossless conversions should use `From`; fallible ones `TryFrom` with
 /// an explicit policy. Justified casts (fieldless-enum discriminants,
@@ -1033,12 +1037,26 @@ pub fn lint_casts(wire_files: &[(String, String)]) -> Vec<Finding> {
 // Driver
 // ---------------------------------------------------------------------------
 
+/// The text of one server source file, by path suffix (empty if absent).
+pub(crate) fn server_file<'a>(s: &'a Sources, suffix: &str) -> &'a str {
+    let file = s.server_files.iter().find(|(p, _)| p.ends_with(suffix));
+    file.map(|(_, t)| t.as_str()).unwrap_or_default()
+}
+
+/// The request handlers: `dispatch.rs`, with the `Cross` arms, followed
+/// by `fastpath::exec_shard`, with the one arm of every other opcode.
+fn handler_sources(s: &Sources) -> String {
+    let shard = block_after(server_file(s, "fastpath.rs"), "fn exec_shard").unwrap_or_default();
+    format!("{}\n{shard}\n", s.dispatch)
+}
+
 /// Runs every pass over the given sources.
 pub fn run_all(s: &Sources) -> Vec<Finding> {
     let mut out = Vec::new();
+    let handlers = handler_sources(s);
     out.extend(lint_opcode_tables(&s.request));
-    out.extend(lint_dispatch_exhaustive(&s.request, &s.dispatch));
-    out.extend(lint_reply_coverage(&s.request, &s.dispatch));
+    out.extend(lint_dispatch_exhaustive(&s.request, &handlers));
+    out.extend(lint_reply_coverage(&s.request, &handlers));
     out.extend(lint_event_emission(&s.event, &s.server_files));
     out.extend(lint_error_codes(&s.error, &s.server_files, &s.alib_error));
     out.extend(lint_doc_rows(&s.request, &s.design));
@@ -1049,6 +1067,7 @@ pub fn run_all(s: &Sources) -> Vec<Finding> {
     out.extend(lint_lock_order(&s.server_files));
     let mut wire_files = s.proto_files.clone();
     wire_files.push((DISPATCH_RS.to_string(), s.dispatch.clone()));
+    wire_files.push((FASTPATH_RS.to_string(), server_file(s, "fastpath.rs").to_string()));
     out.extend(lint_casts(&wire_files));
     out
 }

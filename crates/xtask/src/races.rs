@@ -10,18 +10,23 @@
 //! - **safety-comment** — every `unsafe` keyword in the server crates
 //!   must carry a `// SAFETY:` comment (or sit under a `# Safety` doc
 //!   section) justifying it.
-//! - **shard-guard** — every `ShardedMap::shard_mut` / `ShardView::new`
-//!   call site must either live in an `unsafe fn` (which forwards the
-//!   obligation to *its* callers via `# Safety`, themselves checked) or
-//!   be lexically preceded, in the same function, by the documented
-//!   `core.read()` + stripe `.lock()` acquisitions — the `[core,
-//!   stripe]` LOCK_ORDER in acquisition order. Raw `UnsafeCell` storage
-//!   is confined to `shard.rs`.
+//! - **shard-guard** — every `ShardedMap::shard_mut` / `view_mut` /
+//!   `ShardView::new` call site must either live in an `unsafe fn`
+//!   (which forwards the obligation to *its* callers via `# Safety`,
+//!   themselves checked) or be lexically preceded, in the same
+//!   function, by the documented `core.read()` + stripe `.lock()`
+//!   acquisitions — the `[core, stripe]` LOCK_ORDER in acquisition
+//!   order. `ShardView::exclusive` is not an entry: it takes
+//!   `&mut Core`, so the borrow checker already proves its caller holds
+//!   the core exclusively. Raw `UnsafeCell` storage is confined to
+//!   `shard.rs`.
 //! - **fastpath-whitelist** — the `eligible()` whitelist, the
-//!   `exec_fast` match arms, and the per-opcode [`Footprint`] touches
-//!   table must agree exactly: every whitelisted opcode is proven
-//!   single-shard (`Own`/`Global`) by the table, every `Cross` opcode
-//!   punts, and every `Request` variant has a row.
+//!   `exec_shard` match arms, `dispatch::execute`'s own arms, and the
+//!   per-opcode [`Footprint`] touches table must agree exactly: every
+//!   whitelisted opcode is proven single-shard (`Own`/`Global`) by the
+//!   table and has its one handler in `exec_shard`, every `Cross`
+//!   opcode punts to its arm in `execute`, and every `Request` variant
+//!   has a row.
 //! - plus the mode-aware **lock-order** pass shared with `xtask lint`
 //!   (read→write upgrade hazards, stripes under the core write lock).
 //!
@@ -36,7 +41,8 @@ use std::path::Path;
 
 use crate::{
     apply_allowlist, block_after, brace_delta, delim_block_after, enum_variants, finding,
-    has_word, lint_lock_order, parse_allowlist, qualified_idents, strip_comment, Finding, Sources,
+    has_word, lint_lock_order, parse_allowlist, qualified_idents, server_file, strip_comment,
+    Finding, Sources,
 };
 
 /// Pass `safety-comment`: every `unsafe` block, fn, or impl must be
@@ -91,8 +97,9 @@ pub fn lint_safety_comments(server_files: &[(String, String)]) -> Vec<Finding> {
     out
 }
 
-/// The two entry points into the aliased-shard world.
-const SHARD_ENTRIES: [&str; 2] = ["shard_mut(", "ShardView::new("];
+/// The entry points into the aliased-shard world that need a lock the
+/// type system cannot see.
+const SHARD_ENTRIES: [&str; 3] = ["shard_mut(", "view_mut(", "ShardView::new("];
 
 /// Pass `shard-guard`: call sites of [`SHARD_ENTRIES`] must be guarded.
 /// A site is accepted when its enclosing function is itself `unsafe`
@@ -207,9 +214,9 @@ fn parse_touches(fastpath_src: &str) -> Vec<(String, String)> {
 /// Pass `fastpath-whitelist`: the single-shard proof obligation. Every
 /// `Request` variant must have exactly one `OPCODE_TOUCHES` row; the
 /// `eligible()` whitelist must be exactly the `Own` ∪ `Global` rows;
-/// and `exec_fast` must have an arm for exactly the whitelisted
-/// variants (anything else silently hits the `_ => Punt` catch-all and
-/// rots, or is dead code).
+/// and `exec_shard` must have an arm for exactly the whitelisted
+/// variants (anything else silently hits the `_` catch-all, or is dead
+/// code).
 pub fn lint_fastpath_whitelist(request_src: &str, fastpath_src: &str) -> Vec<Finding> {
     const PASS: &str = "fastpath-whitelist";
     const FILE: &str = "crates/core/src/fastpath.rs";
@@ -224,8 +231,8 @@ pub fn lint_fastpath_whitelist(request_src: &str, fastpath_src: &str) -> Vec<Fin
         return out;
     };
     let whitelist = qualified_idents(elig, "Request");
-    let Some(exec) = block_after(fastpath_src, "fn exec_fast") else {
-        out.push(finding(PASS, FILE, "no `fn exec_fast` found".into()));
+    let Some(exec) = block_after(fastpath_src, "fn exec_shard") else {
+        out.push(finding(PASS, FILE, "no `fn exec_shard` found".into()));
         return out;
     };
     let arms = qualified_idents(exec, "Request");
@@ -289,8 +296,8 @@ pub fn lint_fastpath_whitelist(request_src: &str, fastpath_src: &str) -> Vec<Fin
                 PASS,
                 FILE,
                 format!(
-                    "Request::{v} is whitelisted but exec_fast has no arm for it \
-                     (silent `_ => Punt` drift)"
+                    "Request::{v} is whitelisted but exec_shard has no arm for it \
+                     (silent drift into the `_` catch-all)"
                 ),
             ));
         }
@@ -300,9 +307,46 @@ pub fn lint_fastpath_whitelist(request_src: &str, fastpath_src: &str) -> Vec<Fin
             out.push(finding(
                 PASS,
                 FILE,
-                format!("exec_fast handles Request::{v} but eligible() never admits it"),
+                format!("exec_shard handles Request::{v} but eligible() never admits it"),
             ));
         }
+    }
+    out
+}
+
+/// The other half of pass `fastpath-whitelist`: `dispatch::execute`
+/// has its own arm for exactly the `Cross` rows. A `Cross` opcode with
+/// no arm would fall through to the shard handler, and an arm for an
+/// `Own`/`Global` opcode would be its second handler.
+pub fn lint_cross_arms(fastpath_src: &str, dispatch_src: &str) -> Vec<Finding> {
+    const PASS: &str = "fastpath-whitelist";
+    const FILE: &str = "crates/core/src/dispatch.rs";
+    let Some(exec) = block_after(dispatch_src, "fn execute") else {
+        return vec![finding(PASS, FILE, "no `fn execute` found".into())];
+    };
+    let arms = qualified_idents(exec, "Request");
+    let cross: BTreeSet<String> = parse_touches(fastpath_src)
+        .into_iter()
+        .filter(|(_, fp)| fp == "Cross")
+        .map(|(name, _)| name)
+        .collect();
+    let mut out = Vec::new();
+    for v in cross.difference(&arms) {
+        out.push(finding(
+            PASS,
+            FILE,
+            format!("Request::{v} is classified Footprint::Cross but execute has no arm for it"),
+        ));
+    }
+    for v in arms.difference(&cross) {
+        out.push(finding(
+            PASS,
+            FILE,
+            format!(
+                "execute has an arm for Request::{v}, which is not a Cross row — \
+                 its handler belongs in exec_shard, once"
+            ),
+        ));
     }
     out
 }
@@ -314,13 +358,9 @@ pub fn run_races(s: &Sources) -> Vec<Finding> {
     out.extend(lint_safety_comments(&s.server_files));
     out.extend(lint_shard_guard(&s.server_files));
     out.extend(lint_lock_order(&s.server_files));
-    let fastpath = s
-        .server_files
-        .iter()
-        .find(|(p, _)| p.ends_with("fastpath.rs"))
-        .map(|(_, t)| t.as_str())
-        .unwrap_or_default();
+    let fastpath = server_file(s, "fastpath.rs");
     out.extend(lint_fastpath_whitelist(&s.request, fastpath));
+    out.extend(lint_cross_arms(fastpath, &s.dispatch));
     out
 }
 
@@ -393,6 +433,24 @@ mod tests {
     }
 
     #[test]
+    fn shard_guard_accepts_exclusive_view_and_flags_missing_stripe() {
+        // The exclusive form takes `&mut Core`: the borrow checker is the
+        // guard, so the site needs no lock acquisitions in sight.
+        let exclusive = "fn execute(core: &mut Core) {\n    let (c, view) = unsafe { ShardView::exclusive(core) };\n}\n";
+        assert_eq!(lint_shard_guard(&files(exclusive)), Vec::new());
+        // A single-shard view under the read lock but without the stripe
+        // is still flagged, whichever entry point builds it.
+        for site in ["ShardView::new(&c, Some(0))", "c.louds.view_mut(Some(0))"] {
+            let no_stripe = format!(
+                "fn f(core: &RwLock<Core>) {{\n    let c = core.read();\n    let v = unsafe {{ {site} }};\n}}\n"
+            );
+            let findings = lint_shard_guard(&files(&no_stripe));
+            assert_eq!(findings.len(), 1, "{site}: {findings:?}");
+            assert!(findings[0].message.contains("[core, stripe]"));
+        }
+    }
+
+    #[test]
     fn shard_guard_confines_unsafecell_and_skips_tests() {
         let cell = "struct Sneaky {\n    inner: UnsafeCell<u32>,\n}\n";
         let findings = lint_shard_guard(&files(cell));
@@ -423,11 +481,20 @@ fn eligible(client: ClientId, request: &Request) -> bool {
     }
 }
 
-fn exec_fast(view: &mut ShardView, request: &Request) -> FastOutcome {
+fn exec_shard(view: &mut ShardView, request: &Request) -> Result<Handled, ProtoError> {
     match request {
-        Request::Ping { .. } => Done(Ok(None)),
-        Request::QueryThing { id } => Done(Ok(Some(Reply::Thing { id: *id }))),
-        _ => Punt,
+        Request::Ping { .. } => Ok(Done(None)),
+        Request::QueryThing { id } => Ok(Done(Some(Reply::Thing { id: *id }))),
+        _ => Err(unimplemented()),
+    }
+}
+"#;
+
+    const DISPATCH_FIXTURE: &str = r#"
+fn execute(core: &mut Core, request: &Request) -> DispatchResult {
+    match request {
+        Request::DestroyAll { .. } => Ok(None),
+        _ => run_shard_handler(core, request),
     }
 }
 "#;
@@ -461,14 +528,14 @@ fn exec_fast(view: &mut ShardView, request: &Request) -> FastOutcome {
         let findings = lint_fastpath_whitelist(REQUEST_FIXTURE, &own);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("missing from the eligible() whitelist"));
-        // Whitelisted without an exec_fast arm: silent Punt drift.
+        // Whitelisted without an exec_shard arm: silent catch-all drift.
         let drift = FASTPATH_FIXTURE.replace(
-            "        Request::QueryThing { id } => Done(Ok(Some(Reply::Thing { id: *id }))),\n",
+            "        Request::QueryThing { id } => Ok(Done(Some(Reply::Thing { id: *id }))),\n",
             "",
         );
         let findings = lint_fastpath_whitelist(REQUEST_FIXTURE, &drift);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("silent `_ => Punt` drift"));
+        assert!(findings[0].message.contains("silent drift into the `_` catch-all"));
         // A row naming a ghost variant, and a duplicate row.
         let ghost = FASTPATH_FIXTURE.replace(
             "    (\"Ping\", Footprint::Global, \"no state touched\"),\n",
@@ -478,6 +545,24 @@ fn exec_fast(view: &mut ShardView, request: &Request) -> FastOutcome {
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().any(|f| f.message.contains("duplicate")));
         assert!(findings.iter().any(|f| f.message.contains("Ghost")));
+    }
+
+    #[test]
+    fn cross_arms_must_be_exactly_the_cross_rows() {
+        assert_eq!(lint_cross_arms(FASTPATH_FIXTURE, DISPATCH_FIXTURE), Vec::new());
+        // A Cross opcode with no arm would fall into the shard handler.
+        let missing = DISPATCH_FIXTURE.replace("        Request::DestroyAll { .. } => Ok(None),\n", "");
+        let findings = lint_cross_arms(FASTPATH_FIXTURE, &missing);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("DestroyAll"));
+        // A second handler for an Own opcode.
+        let twice = DISPATCH_FIXTURE.replace(
+            "        _ =>",
+            "        Request::QueryThing { id } => Ok(None),\n        _ =>",
+        );
+        let findings = lint_cross_arms(FASTPATH_FIXTURE, &twice);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("belongs in exec_shard, once"));
     }
 
     /// The real tree must lint clean with an *empty* allowlist — the

@@ -75,7 +75,7 @@ pub const RT_ENTRIES: &[RtEntry] = &[
         func: "tick",
         classes: ALLOC | BLOCK | UNBOUNDED,
     },
-    RtEntry { file: "core/src/fastpath.rs", func: "exec_fast", classes: BLOCK | UNBOUNDED },
+    RtEntry { file: "core/src/fastpath.rs", func: "exec_shard", classes: BLOCK | UNBOUNDED },
     RtEntry { file: "core/src/connplane.rs", func: "drain_outbound", classes: BLOCK | UNBOUNDED },
 ];
 
@@ -236,6 +236,9 @@ fn calls_on_line(code: &str, out: &mut Vec<Callee>) {
         }
         if name.starts_with(|c: char| c.is_ascii_uppercase()) {
             continue; // tuple-struct / enum-variant constructor
+        }
+        if code[..s].ends_with("fn ") {
+            continue; // a declaration, not a call
         }
         if s > 0 && b[s - 1] == b'.' {
             out.push(Callee::Method(name.to_string()));
@@ -719,6 +722,19 @@ mod tests {
     }
 
     #[test]
+    fn a_method_header_does_not_call_a_free_fn_of_its_name() {
+        // `root_of` the method is reached from tick; `root_of` the free
+        // fn, in another file, is not — its header line names it, but
+        // declaring a fn is not calling one.
+        let src = "pub fn tick(v: &View) {\n    v.root_of(1);\n}\n\
+                   impl View {\n    fn root_of(&self, id: u32) -> u32 {\n        id\n    }\n}\n";
+        let other = "fn root_of(core: &Core, id: u32) -> u32 {\n    loop {}\n}\n";
+        let mut files = engine(src);
+        files.push(("crates/core/src/validate.rs".to_string(), other.to_string()));
+        assert_eq!(run_rtsafe_files(&files, TICK_ALL), Vec::new());
+    }
+
+    #[test]
     fn method_and_qualified_calls_resolve() {
         let src = "pub fn tick(core: &mut Core) {\n    core.step();\n    Pool::refill(core);\n}\n\
                    impl Core {\n    fn step(&mut self) {\n        let v = self.buf.to_vec();\n    }\n}\n\
@@ -740,7 +756,7 @@ mod tests {
 
     #[test]
     fn entry_class_mask_limits_the_passes() {
-        // A BLOCK|UNBOUNDED entry (the exec_fast/drain contract):
+        // A BLOCK|UNBOUNDED entry (the exec_shard/drain contract):
         // allocation is by design, blocking still fails.
         let entries: &[RtEntry] =
             &[RtEntry { file: "engine.rs", func: "tick", classes: BLOCK | UNBOUNDED }];

@@ -204,7 +204,6 @@ fn telephone_quality_sound_reaches_hifi_speaker_resampled() {
     // An 8 kHz sound on the 44.1 kHz output: the wire resamples.
     let (server, mut conn) = start_with_hw(da_hw::registry::HwSpec::desktop_hifi());
     let control = server.control();
-    control.set_speaker_capture(1, 400_000);
     let loud = conn.create_loud(None).unwrap();
     let player = conn.create_vdevice(loud, DeviceClass::Player, vec![]).unwrap();
     let out = conn
@@ -217,14 +216,22 @@ fn telephone_quality_sound_reaches_hifi_speaker_resampled() {
         .upload_pcm(SoundType::TELEPHONE, &da_dsp::tone::sine(8000, 440.0, 8000, 12000))
         .unwrap();
     conn.enqueue_cmd(loud, player, DeviceCommand::Play(sound)).unwrap();
+    // The engine runs free and captures silence every tick until the
+    // tone starts, and StartQueue can wait hundreds of ticks for the
+    // core read lock on a loaded machine. So arm the capture only now,
+    // with room for that wait, and measure from the tone's first
+    // sample (kept on a left-channel boundary).
+    control.set_speaker_capture(1, 2_000_000);
+    let tone = |cap: &[i16]| cap.iter().position(|&x| x != 0).unwrap_or(cap.len()) & !1;
     conn.start_queue(loud).unwrap();
     conn.wait_event(Duration::from_secs(20), |e| matches!(e, Event::CommandDone { .. }))
         .unwrap();
     control.run_until(Duration::from_secs(10), |c| {
-        c.hw.speakers[1].captured().len() >= 80_000
+        let cap = c.hw.speakers[1].captured();
+        cap.len() - tone(cap) >= 80_000
     });
     let cap = control.take_captured(1);
-    let left: Vec<i16> = cap.iter().step_by(2).copied().collect();
+    let left: Vec<i16> = cap[tone(&cap)..].iter().step_by(2).copied().collect();
     let p440 = da_dsp::analysis::goertzel_power(&left, 44_100, 440.0);
     assert!(p440 > 100_000.0, "resampled tone missing: {p440}");
     server.shutdown();
