@@ -407,19 +407,42 @@ fn e5xl_engine_cost(report: &mut Report, k: usize) {
     // The first tick rebuilds every route plan the set-up invalidated;
     // its cost is read back from the `plan_build_us` histogram.
     let plan_build_sum = || control.with_core(|c| c.tel.metrics.plan_build_us.snapshot().sum);
+    // The tick's phase split comes from the engine's own phase
+    // histograms (DESIGN.md §10): their sums over one audio-second.
+    let phase_sums = || {
+        control.with_core(|c| {
+            let m = &c.tel.metrics;
+            [
+                &m.engine_phase_line_us,
+                &m.engine_phase_queues_us,
+                &m.engine_phase_produce_us,
+                &m.engine_phase_route_us,
+                &m.engine_phase_consume_us,
+            ]
+            .map(|h| h.snapshot().sum)
+        })
+    };
     let built_before = plan_build_sum();
+    let phases_before = phase_sums();
     control.tick_n(1);
     let plan_build_us = plan_build_sum() - built_before;
     assert_eq!(control.stats().plan_rebuilds, before.plan_rebuilds + 1, "first tick must rebuild");
     control.tick_n(99); // 1 s of audio in all
     let after = control.stats();
+    let phases_after = phase_sums();
     let busy_ms = (after.busy - before.busy).as_secs_f64() * 1000.0;
     report.push("E5-XL", &format!("rig_setup_us_per_client_{k}_clients"), setup_us_per_client, "us");
     report.push("E5-XL", &format!("engine_ms_per_audio_s_{k}_clients"), busy_ms, "ms");
     report.push("E5-XL", &format!("plan_build_us_{k}_clients"), plan_build_us as f64, "us");
+    let mut split = String::new();
+    for (i, name) in ["line", "queues", "produce", "route", "consume"].iter().enumerate() {
+        let ms = (phases_after[i] - phases_before[i]) as f64 / 1000.0;
+        report.push("E5-XL", &format!("engine_phase_{name}_ms_per_audio_s_{k}_clients"), ms, "ms");
+        split.push_str(&format!(" {name} {ms:.1}"));
+    }
     println!(
         "  {k:>5} | setup {setup_us_per_client:>7.0} us/client | engine {busy_ms:>8.3} ms/s \
-         | plan build {plan_build_us:>6} us",
+         | plan build {plan_build_us:>6} us\n        | phases ms/s:{split}",
     );
     drop(conns);
     server.shutdown();

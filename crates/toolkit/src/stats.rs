@@ -115,6 +115,17 @@ impl StatsSnapshot {
             self.tick_p99_us(),
             s.counter("engine_tick_overruns_total").unwrap_or(0),
         );
+        let phases: Vec<String> = ["line", "queues", "produce", "route", "consume"]
+            .iter()
+            .map(|name| {
+                let p50 = s
+                    .histogram(&format!("engine_phase_{name}_us"))
+                    .map(|h| h.percentile(0.50))
+                    .unwrap_or(0);
+                format!("{name} {p50}")
+            })
+            .collect();
+        let _ = writeln!(out, "phases: p50 us · {}", phases.join(" · "));
         match self.plan_cache_hit_rate() {
             Some(rate) => {
                 let _ = writeln!(
