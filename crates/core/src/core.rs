@@ -15,7 +15,7 @@ use crate::loud::Loud;
 use crate::queue::{CommandQueue, TypedQueue};
 use crate::shard::{ShardSet, ShardedMap, SHARDS};
 use crate::sound::{Catalogs, Sound};
-use crate::vdevice::{HwBinding, VDev};
+use crate::vdevice::{DevSlot, HwBinding, VDev};
 use crate::wire::Wire;
 use crossbeam::channel::{Sender, TrySendError};
 use da_hw::registry::{DeviceKind, Hardware, HwSlot, HwSpec};
@@ -278,8 +278,6 @@ pub struct Core {
     pub pending_maps: Vec<u32>,
     /// Root LOUDs whose raise request awaits manager approval.
     pub pending_raises: Vec<u32>,
-    /// Roots whose current queue command failed this tick (engine use).
-    pub queue_failures: Vec<u32>,
     /// Device time: frames elapsed at the nominal 8 kHz rate.
     pub device_time: u64,
     /// Tick counter.
@@ -291,7 +289,9 @@ pub struct Core {
     /// The engine's plan cache rebuilds when this moves. Atomic so the
     /// read-locked fast path can bump it without the write lock.
     pub topology_gen: AtomicU64,
-    /// Cached route plans and scratch buffers (engine data plane).
+    /// The engine data plane: the slot slab holding every device's,
+    /// wire's and root's streaming state, the cached route plans, and
+    /// scratch buffers. Mutated only under the write lock.
     pub plane: crate::plan::DataPlane,
     /// Metrics registry, journal, and per-opcode dispatch counts.
     pub tel: crate::telem::ServerTelemetry,
@@ -344,7 +344,6 @@ impl Core {
             redirect_client: None,
             pending_maps: Vec::new(),
             pending_raises: Vec::new(),
-            queue_failures: Vec::new(),
             device_time: 0,
             tick_index: 0,
             stats: EngineStats::default(),
@@ -634,8 +633,9 @@ impl Core {
         }
         if let Some(v) = self.vdevs.remove(&vdev) {
             // A telephone device that vanishes mid-call must not leave a
-            // zombie call on the line.
-            if let Some(HwBinding::Line(line)) = v.binding {
+            // zombie call on the line. (Its slot is reclaimed at the next
+            // plan build.)
+            if let Some(HwBinding::Line(line)) = self.plane.slab.dev(&v).and_then(|d| d.binding) {
                 self.hw.pstn.on_hook(line);
             }
             if let Some(l) = self.louds.get_mut(&v.loud) {
@@ -717,7 +717,7 @@ impl Core {
         for &vid in &vdevs {
             let Some(v) = self.vdevs.get(&vid) else { continue };
             if !Self::needs_hardware(v.class) {
-                bindings.push((vid, HwBinding::Software, v.rate));
+                bindings.push((vid, HwBinding::Software, 0));
                 continue;
             }
             let has = |want: fn(&Attribute) -> bool| v.attrs.iter().any(want);
@@ -794,19 +794,21 @@ impl Core {
             match trial.exit {
                 Some(exit) => {
                     claims = exit;
+                    let quantum = self.config.quantum_us;
                     for (vid, binding, rate) in trial.bindings {
-                        if let Some(v) = self.vdevs.get_mut(&vid) {
-                            v.binding = Some(binding);
+                        if let Some(d) = self.dev_slot_mut(vid) {
+                            d.binding = Some(binding);
                             if binding != HwBinding::Software {
-                                v.rate = rate;
+                                d.set_rate(rate, quantum);
                             }
                         }
                     }
                 }
                 None => {
                     for vid in trial.vdevs {
-                        if let Some(v) = self.vdevs.get_mut(&vid) {
-                            v.binding = None;
+                        let slot = self.vdevs.get(&vid).and_then(|v| v.slot);
+                        if let Some(i) = slot {
+                            self.plane.slab.devs[i as usize].binding = None;
                         }
                     }
                 }
@@ -903,6 +905,43 @@ impl Core {
         self.active_stack.retain(|&r| r != root);
         self.send_event(ResKey(0, root), Event::UnmapNotify { loud: da_proto::ids::LoudId(root) });
         self.recompute_activation();
+    }
+
+    // ---- engine data plane -----------------------------------------------------
+
+    /// The streaming state of `v`, if it has a slot yet. Outside the
+    /// tick only (the tick detaches the data plane).
+    pub fn dev_slot(&self, v: &VDev) -> Option<&DevSlot> {
+        self.plane.slab.dev(v)
+    }
+
+    /// The streaming state of device `vid`, assigning it a slot if it has
+    /// none. Write lock only, outside the tick.
+    pub fn dev_slot_mut(&mut self, vid: u32) -> Option<&mut DevSlot> {
+        let Core { vdevs, plane, config, .. } = self;
+        let i = plane.slab.assign_dev(vdevs.get_mut(&vid)?, config.quantum_us);
+        Some(&mut plane.slab.devs[i])
+    }
+
+    /// The operating rate of `v`: its slot's, or the attribute rate a
+    /// fresh slot would start at.
+    pub fn device_rate(&self, v: &VDev) -> u32 {
+        self.dev_slot(v).map_or_else(|| v.initial_rate(), |d| d.rate)
+    }
+
+    /// The running queue node of root `root`, if any.
+    pub fn running(&self, root: u32) -> Option<&crate::queue::RunNode> {
+        let i = self.louds.get(&root)?.slot?;
+        self.plane.slab.roots[i as usize].running.as_ref()
+    }
+
+    /// Runs `f` with the slot slab detached from the core, for the
+    /// engine functions write-locked handlers share with the tick.
+    pub fn with_slab<R>(&mut self, f: impl FnOnce(&mut Core, &mut crate::plan::Slab) -> R) -> R {
+        let mut slab = std::mem::take(&mut self.plane.slab);
+        let out = f(self, &mut slab);
+        self.plane.slab = slab;
+        out
     }
 
     // ---- queue access ----------------------------------------------------------

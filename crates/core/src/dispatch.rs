@@ -19,7 +19,7 @@ use crate::queue::TypedQueue;
 use crate::sound::Sound;
 use crate::vdevice::VDev;
 use da_proto::error::{ErrorCode, ProtoError};
-use da_proto::event::Event;
+use da_proto::event::{Event, QueueStopReason};
 use da_proto::ids::{ClientId, LoudId, SoundId, VDeviceId};
 use da_proto::reply::Reply;
 use da_proto::request::Request;
@@ -271,11 +271,11 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
             // "echo:<delay_frames>:<feedback_milli>", "lowpass:<hz>".
             if core.atoms.name(*name) == Some("EFFECT") {
                 let spec = String::from_utf8_lossy(value).to_string();
-                let Some(v) = core.vdevs.get_mut(&id.0) else {
+                let Some(d) = core.dev_slot_mut(id.0) else {
                     return Err(err(ErrorCode::BadDevice, id.0, "no such device"));
                 };
-                let rate = v.rate;
-                if let crate::vdevice::ClassState::Dsp { effect } = &mut v.state {
+                let rate = d.rate;
+                if let crate::vdevice::ClassState::Dsp { effect } = &mut d.state {
                     let mut parts = spec.split(':');
                     *effect = match parts.next() {
                         Some("none") | Some("") => crate::vdevice::DspEffect::PassThrough,
@@ -326,7 +326,7 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
                     "command is queued-mode only",
                 ));
             }
-            if !engine::apply_instant(core, vdev.0, cmd) {
+            if !core.with_slab(|core, slab| engine::apply_instant(core, slab, vdev.0, cmd)) {
                 return Err(err(ErrorCode::BadMatch, vdev.0, "command does not fit device class"));
             }
             Ok(None)
@@ -336,7 +336,9 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
             if l.owner != client {
                 return Err(err(ErrorCode::BadAccess, loud.0, "not owner"));
             }
-            engine::stop_queue(core, loud.0, da_proto::event::QueueStopReason::ClientRequest);
+            core.with_slab(|core, slab| {
+                engine::stop_queue(core, slab, loud.0, QueueStopReason::ClientRequest)
+            });
             Ok(None)
         }
         Request::PauseQueue { loud } => {
@@ -345,36 +347,28 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
                 return Err(err(ErrorCode::BadAccess, loud.0, "not owner"));
             }
             let root = loud.0;
-            let running_devices = {
-                let Some(q) = core.queue_mut(root) else {
-                    return Err(err(ErrorCode::BadLoud, root, "not a root loud"));
-                };
-                if q.state() != QueueState::Started {
-                    return Ok(None);
-                }
-                let mut devs = Vec::new();
-                if let Some(run) = &q.running {
-                    run.running_devices(&mut devs);
-                }
-                devs
+            let Some(q) = core.queue_mut(root) else {
+                return Err(err(ErrorCode::BadLoud, root, "not a root loud"));
             };
+            if q.state() != QueueState::Started {
+                return Ok(None);
+            }
+            let running_devices = running_devices(core, root);
             // Unpausable commands stop the queue instead (paper §5.5).
             let unpausable = running_devices.iter().any(|d| {
                 matches!(
-                    core.vdevs.get(&d.0).and_then(|v| v.op.as_ref()),
+                    core.vdevs.get(&d.0).and_then(|v| core.dev_slot(v)?.op.as_ref()),
                     Some(crate::vdevice::ActiveOp::Dial { .. })
                         | Some(crate::vdevice::ActiveOp::Answer)
                 )
             });
             if unpausable {
-                engine::stop_queue(core, root, da_proto::event::QueueStopReason::Unpausable);
+                core.with_slab(|core, slab| {
+                    engine::stop_queue(core, slab, root, QueueStopReason::Unpausable)
+                });
                 return Ok(None);
             }
-            for d in &running_devices {
-                if let Some(v) = core.vdevs.get_mut(&d.0) {
-                    v.paused = true;
-                }
-            }
+            set_paused(core, &running_devices, true);
             if let Some(q) = core.queue_mut(root) {
                 if let TypedQueue::Started(t) = q.typed() {
                     t.client_pause();
@@ -426,6 +420,9 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
                 return Err(err(ErrorCode::BadAccess, id.0, "not owner"));
             }
             core.sounds.remove(&id.0);
+            // A play pinned to the sound ends at its next step, exactly
+            // as one looking it up would.
+            engine::unpin_plays(&mut core.plane.slab, id.0);
             core.properties.remove(&ResKey(2, id.0));
             core.purge_selections(ResKey(2, id.0));
             Ok(None)
@@ -526,25 +523,38 @@ fn execute(core: &mut Core, client: ClientId, seq: u32, request: &Request) -> Di
                     core.recompute_activation();
                     Ok(None)
                 }
+                Handled::Unpause(root) => {
+                    drop(view);
+                    unpause_devices(core, root);
+                    Ok(None)
+                }
             }
         }
     }
 }
 
-fn unpause_devices(core: &mut Core, root: u32) {
-    let devices = {
-        let Some(q) = core.queue_mut(root) else { return };
-        let mut devs = Vec::new();
-        if let Some(run) = &q.running {
-            run.running_devices(&mut devs);
-        }
-        devs
-    };
+/// The devices with commands running in root `root`'s queue.
+fn running_devices(core: &Core, root: u32) -> Vec<VDeviceId> {
+    let mut devs = Vec::new();
+    if let Some(run) = core.running(root) {
+        run.running_devices(&mut devs);
+    }
+    devs
+}
+
+/// Pauses or resumes `devices` through their slots.
+fn set_paused(core: &mut Core, devices: &[VDeviceId], paused: bool) {
     for d in devices {
-        if let Some(v) = core.vdevs.get_mut(&d.0) {
-            v.paused = false;
+        if let Some(slot) = core.dev_slot_mut(d.0) {
+            slot.paused = paused;
         }
     }
+}
+
+/// Resumes the devices running in root `root`'s queue.
+fn unpause_devices(core: &mut Core, root: u32) {
+    let devices = running_devices(core, root);
+    set_paused(core, &devices, false);
 }
 
 fn lookup_loud(core: &Core, id: LoudId) -> Result<&Loud, ProtoError> {

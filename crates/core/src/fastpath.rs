@@ -21,8 +21,8 @@
 //! [`ShardView`] (never through `core.louds` etc. — mixing a `&` read
 //! with the view's `&mut` on the same map is UB), and use `&Core` only
 //! for state that is mutated exclusively under the write lock (clients,
-//! selections, hardware, atoms, catalogs, config, device time) or is
-//! atomic (`topology_gen`).
+//! selections, hardware, atoms, catalogs, config, device time, the
+//! engine data plane) or is atomic (`topology_gen`).
 
 use crate::core::{res_key, Core, ResKey};
 use crate::dispatch::{err, finish_dispatch, owns_id};
@@ -98,7 +98,7 @@ pub const OPCODE_TOUCHES: &[(&str, Footprint, &str)] = &[
     ("QueryDeviceWires", Footprint::Own, "a client's wire component lives in its shard"),
     ("Enqueue", Footprint::Own, "appends to the own root's queue"),
     ("Immediate", Footprint::Cross, "bypasses the queue into live engine state"),
-    ("StartQueue", Footprint::Own, "own queue + own-shard device unpause"),
+    ("StartQueue", Footprint::Own, "own queue; a resume's device unpause punts to the write lock"),
     ("StopQueue", Footprint::Cross, "tears down running entries via engine state"),
     ("PauseQueue", Footprint::Cross, "pauses running devices through the engine"),
     ("ResumeQueue", Footprint::Cross, "resumes running devices through the engine"),
@@ -266,6 +266,12 @@ pub(crate) enum Handled {
     /// write lock; the exclusive view returns it once the request has
     /// executed (with no reply), and the caller runs the walk.
     Rebind,
+    /// Root `root`'s queue resumed, so its running devices must unpause
+    /// through their engine slots, which takes the write lock. A
+    /// single-shard view returns this before mutating anything; the
+    /// exclusive view returns it once the request has executed, and the
+    /// caller unpauses.
+    Unpause(u32),
 }
 
 /// Is the request on the fast-path whitelist with every referenced id
@@ -340,7 +346,7 @@ pub fn try_dispatch(core: &RwLock<Core>, client: ClientId, seq: u32, request: &R
             exec_shard(&c, &mut view, client, seq, request)
         };
         let result = match handled {
-            Ok(Handled::Rebind) => None,
+            Ok(Handled::Rebind | Handled::Unpause(_)) => None,
             Ok(Handled::Done(reply)) => Some(Ok(reply)),
             Err(e) => Some(Err(e)),
         };
@@ -432,7 +438,7 @@ pub(crate) fn exec_shard(
             let v = view.vdev(id.0)?;
             // The device-LOUD slot of a hardware binding.
             let mapped_device = (0..core.hw.device_count())
-                .find(|&i| match (core.hw.slot(i), v.binding) {
+                .find(|&i| match (core.hw.slot(i), core.dev_slot(v).and_then(|d| d.binding)) {
                     (Some(HwSlot::Speaker(s)), Some(HwBinding::Speaker(b))) => s == b,
                     (Some(HwSlot::Microphone(m)), Some(HwBinding::Microphone(b))) => m == b,
                     (Some(HwSlot::Line(l)), Some(HwBinding::Line(b))) => l == b,
@@ -497,7 +503,8 @@ pub(crate) fn exec_shard(
                 // the sink is the wire's job, so only the source must
                 // match a tightly specified wire.
                 t @ WireType::Digital(_) => {
-                    if !t.admits(&digital(sv.rate)) && !t.admits(&digital(dv.rate)) {
+                    let (s_rate, d_rate) = (core.device_rate(sv), core.device_rate(dv));
+                    if !t.admits(&digital(s_rate)) && !t.admits(&digital(d_rate)) {
                         return Err(err(ErrorCode::BadMatch, id.0, "wire type mismatch"));
                     }
                 }
@@ -585,33 +592,27 @@ pub(crate) fn exec_shard(
         }
         Request::StartQueue { loud } => {
             let root = loud.0;
+            let exclusive = view.louds.spans_all();
             let l = view.loud_mut(root)?;
             if l.owner != client {
                 return Err(err(ErrorCode::BadAccess, root, "not owner"));
             }
             let q = l.queue.as_mut();
             let q = q.ok_or_else(|| err(ErrorCode::BadLoud, root, "not a root loud"))?;
-            let mut resumed = Vec::new();
             match q.typed() {
                 TypedQueue::Stopped(t) => {
                     t.start();
                     core.send_event(ResKey(0, root), Event::QueueStarted { loud: LoudId(root) });
                 }
-                // StartQueue on a client-paused queue acts as a resume.
+                // StartQueue on a client-paused queue acts as a resume,
+                // whose running devices unpause in their engine slots.
+                TypedQueue::ClientPaused(_) if !exclusive => return Ok(Handled::Unpause(root)),
                 TypedQueue::ClientPaused(t) => {
                     t.resume();
-                    if let Some(run) = &q.running {
-                        run.running_devices(&mut resumed);
-                    }
                     core.send_event(ResKey(0, root), Event::QueueResumed { loud: LoudId(root) });
+                    return Ok(Handled::Unpause(root));
                 }
                 TypedQueue::Started(_) | TypedQueue::ServerPaused(_) => {}
-            }
-            // The queue's running devices are in its tree, hence its shard.
-            for d in resumed {
-                if let Some(v) = view.vdevs.get_mut(&d.0) {
-                    v.paused = false;
-                }
             }
             Ok(Done(None))
         }

@@ -40,6 +40,9 @@ pub struct Loud {
     /// created, destroyed or augmented, the root mapped); the next
     /// activation walk re-binds the root.
     pub dirty: bool,
+    /// A root's slot in the engine data plane, which holds its running
+    /// queue node; assigned at plan build (under the write lock).
+    pub slot: Option<u32>,
 }
 
 impl Loud {
@@ -58,6 +61,7 @@ impl Loud {
             claims_in: Claims::default(),
             claims_out: Claims::default(),
             dirty: true,
+            slot: None,
         }
     }
 

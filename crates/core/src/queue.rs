@@ -51,6 +51,9 @@ pub enum RunNode {
     Cmd {
         /// Target device.
         vdev: VDeviceId,
+        /// The device's data-plane slot, resolved when the command
+        /// installs ([`crate::plan::NO_SLOT`] while it waits).
+        slot: u32,
         /// The command (kept for restart/abort bookkeeping).
         cmd: DeviceCommand,
         /// Lifetime entry index.
@@ -129,8 +132,6 @@ pub struct CommandQueue {
     raw: VecDeque<QueueEntry>,
     /// Parsed, unstarted nodes.
     pub pending: VecDeque<QNode>,
-    /// The node currently executing.
-    pub running: Option<RunNode>,
     /// One of the four states of paper §5.5. Private: all transitions go
     /// through the typestate API ([`CommandQueue::typed`]) so that only
     /// the legal edges of the §5.5 state machine can be expressed.
@@ -154,7 +155,6 @@ impl CommandQueue {
         CommandQueue {
             raw: VecDeque::new(),
             pending: VecDeque::new(),
-            running: None,
             state: QueueState::Stopped,
             relative_frames: 0,
             next_index: 0,
@@ -231,9 +231,10 @@ impl CommandQueue {
         self.pending.clear();
     }
 
-    /// Whether there is nothing running and nothing pending.
+    /// Whether nothing is pending. (The node already running, if any,
+    /// is engine state in the root's data-plane slot.)
     pub fn idle(&self) -> bool {
-        self.running.is_none() && self.pending.is_empty() && self.raw.is_empty()
+        self.pending.is_empty() && self.raw.is_empty()
     }
 
     fn parse_available(&mut self) {
@@ -606,6 +607,7 @@ mod tests {
     fn run_node_done_logic() {
         let done_cmd = RunNode::Cmd {
             vdev: VDeviceId(1),
+            slot: 0,
             cmd: DeviceCommand::Stop,
             index: 0,
             state: CmdState::Done,
@@ -615,12 +617,14 @@ mod tests {
             children: vec![
                 RunNode::Cmd {
                     vdev: VDeviceId(1),
+                    slot: 0,
                     cmd: DeviceCommand::Stop,
                     index: 0,
                     state: CmdState::Done,
                 },
                 RunNode::Cmd {
                     vdev: VDeviceId(2),
+                    slot: 1,
                     cmd: DeviceCommand::Stop,
                     index: 1,
                     state: CmdState::Running,

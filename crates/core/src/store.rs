@@ -288,6 +288,20 @@ impl SoundStore {
         out.extend_from_slice(&pcm[start..end]);
     }
 
+    /// The whole decoded mono PCM of a complete, content-addressed
+    /// sound, shared through the transcode cache; `None` for a sound
+    /// still streaming or with recorder-private content. A play pins it
+    /// once and copies windows from it without further lookups. A cache
+    /// build's wall time is added to `convert_ns`.
+    pub fn pin_pcm(&self, snd: &Sound, convert_ns: &mut u64) -> Option<Arc<Vec<i16>>> {
+        let hash = snd.content_hash.filter(|_| snd.complete)?;
+        // Relax: a miss builds the decoded payload exactly once per sound.
+        let _relax = crate::rt::AllocRelax::scope();
+        let (pcm, built_ns) = self.cached_pcm(hash, snd, snd.len_frames());
+        *convert_ns += built_ns;
+        Some(pcm)
+    }
+
     /// The fully decoded mono PCM for `hash`, built from `snd` on a
     /// miss, plus the build's wall time (0 on a hit). `window_frames`
     /// sizes the saved-time estimate on a hit.

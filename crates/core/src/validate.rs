@@ -23,7 +23,7 @@
 //! are enforced in dispatch but deliberately not re-checked here.
 
 use crate::core::{Claims, Core};
-use crate::plan::build_route_plans;
+use crate::plan::{build_route_plans, PlanCache, NO_SLOT};
 use crate::vdevice::HwBinding;
 use da_hw::registry::HwSlot;
 use da_proto::types::{PortDir, QueueState, WireType};
@@ -373,7 +373,7 @@ fn check_bindings(core: &Core, out: &mut Vec<Violation>) {
         })
         .collect();
     for (&id, v) in &core.vdevs {
-        match v.binding {
+        match core.dev_slot(v).and_then(|d| d.binding) {
             Some(HwBinding::Speaker(i)) if i >= core.hw.speakers.len() => {
                 violate(out, "V9", format!("vdev {id} bound to missing speaker {i}"));
             }
@@ -390,15 +390,11 @@ fn check_bindings(core: &Core, out: &mut Vec<Violation>) {
 
 /// V11: deferred work-lists reference live root LOUDs. `pending_maps`
 /// and `pending_raises` hold redirected requests awaiting an audio
-/// manager's decision (paper §5.8); `queue_failures` holds roots whose
-/// current command failed mid-tick. A destroyed LOUD must be purged
-/// from all three, or a later drain would act on a dangling id.
+/// manager's decision (paper §5.8). A destroyed LOUD must be purged
+/// from both, or a later drain would act on a dangling id.
 fn check_worklists(core: &Core, out: &mut Vec<Violation>) {
-    let lists: [(&str, &[u32]); 3] = [
-        ("pending_maps", &core.pending_maps),
-        ("pending_raises", &core.pending_raises),
-        ("queue_failures", &core.queue_failures),
-    ];
+    let lists: [(&str, &[u32]); 2] =
+        [("pending_maps", &core.pending_maps), ("pending_raises", &core.pending_raises)];
     for (name, list) in lists {
         for &r in list {
             match core.louds.get(&r) {
@@ -535,24 +531,55 @@ fn check_sound_store(core: &Core, out: &mut Vec<Violation>) {
     }
 }
 
-/// V10: a plan cache claiming to be built at the current topology
-/// generation really describes the current topology — the active-root
-/// list and the cached routes equal one fresh `build_route_plans` pass
-/// over the whole active-root set. A stale
-/// generation is fine (the next tick rebuilds); a *lying* generation is
-/// the bug class `Core::invalidate_plans` exists to prevent.
+/// V10: the data plane is a fresh resolve. A plan cache claiming to be
+/// built at the current topology generation holds exactly the active
+/// roots, route plans, producers and consumers one fresh resolve gives —
+/// every planned device, wire and root resolved to the slot its owner
+/// names, which it must have — and the slab agrees with the owners:
+/// every slot an owner names holds that owner (no duplicates), and every
+/// occupied slot is one an owner names (none dangling). A stale generation is fine (the next tick
+/// rebuilds); a *lying* generation is the bug class
+/// `Core::invalidate_plans` exists to prevent.
 fn check_plan_cache(core: &Core, out: &mut Vec<Violation>) {
     let plans = &core.plane.plans;
+    let slab = &core.plane.slab;
     let gen = core.topology_gen.load(std::sync::atomic::Ordering::Relaxed);
     if plans.built_generation() != Some(gen) {
         return;
     }
-    let expected_roots: Vec<u32> = core
-        .active_stack
-        .iter()
-        .copied()
-        .filter(|r| core.louds.get(r).map(|l| l.active) == Some(true))
-        .collect();
+    for v in core.vdevs.values() {
+        if let Some(d) = v.slot.and_then(|i| slab.devs.get(i as usize)) {
+            if d.vid == v.id.0 && (d.class != v.class || d.root != v.root) {
+                violate(
+                    out,
+                    "V10",
+                    format!("slot of vdev {} disagrees on its class or root", v.id.0),
+                );
+            }
+        }
+    }
+    check_slots(
+        out,
+        "vdev",
+        core.vdevs.values().map(|v| (v.id.0, v.slot)),
+        slab.devs.iter().map(|d| d.vid),
+        crate::vdevice::DevSlot::FREE,
+    );
+    check_slots(
+        out,
+        "wire",
+        core.wires.values().map(|w| (w.id.0, w.slot)),
+        slab.wires.iter().map(|w| w.wire),
+        crate::wire::WireSlot::FREE,
+    );
+    check_slots(
+        out,
+        "root loud",
+        core.louds.values().filter(|l| l.is_root()).map(|l| (l.id.0, l.slot)),
+        slab.roots.iter().map(|r| r.root),
+        crate::plan::RootSlot::FREE,
+    );
+    let expected_roots = PlanCache::resolve_roots(core);
     if plans.active_roots != expected_roots {
         violate(
             out,
@@ -564,7 +591,16 @@ fn check_plan_cache(core: &Core, out: &mut Vec<Violation>) {
         );
         return;
     }
-    let fresh = build_route_plans(core, &expected_roots);
+    let unslotted = expected_roots.iter().any(|r| r.slot == NO_SLOT)
+        || plans.routes.iter().flat_map(|p| &p.order).any(|d| {
+            d.slot == NO_SLOT
+                || d.ports.iter().flat_map(|p| &p.wires).any(|w| w.slot == NO_SLOT)
+        });
+    if unslotted {
+        violate(out, "V10", "a planned root, device or wire has no slot".into());
+    }
+    let roots: Vec<u32> = expected_roots.iter().map(|r| r.root).collect();
+    let fresh = build_route_plans(core, &roots);
     if plans.routes.len() != fresh.len() {
         violate(
             out,
@@ -577,13 +613,48 @@ fn check_plan_cache(core: &Core, out: &mut Vec<Violation>) {
         );
         return;
     }
-    for ((cached, fresh), root) in plans.routes.iter().zip(&fresh).zip(&expected_roots) {
+    for ((cached, fresh), root) in plans.routes.iter().zip(&fresh).zip(&roots) {
         if cached != fresh {
             violate(
                 out,
                 "V10",
                 format!("cached route plan for root {root} differs from a fresh recompute"),
             );
+        }
+    }
+    if (plans.producers.clone(), plans.consumers.clone())
+        != PlanCache::resolve_endpoints(core, slab)
+    {
+        violate(out, "V10", "cached producer or consumer slots differ from a fresh resolve".into());
+    }
+}
+
+/// V10's slab half for one kind of owner: each slot index an owner
+/// names is in range, held by that owner, and named by no other owner;
+/// each occupied slot (`held` not `free`) is named by some owner.
+fn check_slots(
+    out: &mut Vec<Violation>,
+    kind: &str,
+    owners: impl Iterator<Item = (u32, Option<u32>)>,
+    held: impl Iterator<Item = u32>,
+    free: u32,
+) {
+    let held: Vec<u32> = held.collect();
+    let mut claimed: HashMap<u32, u32> = HashMap::new();
+    for (id, slot) in owners {
+        let Some(i) = slot else { continue };
+        match held.get(i as usize) {
+            Some(&h) if h == id => {}
+            Some(&h) => violate(out, "V10", format!("{kind} {id} points at slot {i}, held by {h}")),
+            None => violate(out, "V10", format!("{kind} {id} points past the slab at slot {i}")),
+        }
+        if let Some(other) = claimed.insert(i, id) {
+            violate(out, "V10", format!("{kind}s {other} and {id} share slot {i}"));
+        }
+    }
+    for (i, &h) in held.iter().enumerate() {
+        if h != free && !claimed.contains_key(&(i as u32)) {
+            violate(out, "V10", format!("{kind} slot {i} holds {h} but no {kind} points at it"));
         }
     }
 }
@@ -632,7 +703,9 @@ fn check_activation_memo(core: &Core, out: &mut Vec<Violation>) {
                 .iter()
                 .filter(|&&(vid, b, rate)| {
                     core.vdevs.get(&vid).is_some_and(|v| {
-                        v.binding != Some(b) || (b != HwBinding::Software && v.rate != rate)
+                        let d = core.dev_slot(v);
+                        d.and_then(|d| d.binding) != Some(b)
+                            || (b != HwBinding::Software && d.map(|d| d.rate) != Some(rate))
                     })
                 })
                 .map(|&(vid, _, _)| vid)
@@ -641,7 +714,11 @@ fn check_activation_memo(core: &Core, out: &mut Vec<Violation>) {
                 .vdevs
                 .iter()
                 .copied()
-                .filter(|vid| core.vdevs.get(vid).is_some_and(|v| v.binding.is_some()))
+                .filter(|vid| {
+                    core.vdevs
+                        .get(vid)
+                        .is_some_and(|v| core.dev_slot(v).is_some_and(|d| d.binding.is_some()))
+                })
                 .collect(),
         };
         if !stale_vdevs.is_empty() {

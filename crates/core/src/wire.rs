@@ -2,8 +2,9 @@
 //!
 //! "Wires establish the flow of data between virtual devices... A wire
 //! connects a source port of a virtual device to a sink port of another
-//! virtual device" (paper §5.2). Each wire owns a streaming resampler so
-//! devices of different rates interconnect seamlessly.
+//! virtual device" (paper §5.2). Each wire's streaming resampler, which
+//! lets devices of different rates interconnect seamlessly, lives in its
+//! [`WireSlot`] in the engine data plane.
 
 use da_dsp::resample::Resampler;
 use da_proto::ids::{ClientId, VDeviceId, WireId};
@@ -26,10 +27,9 @@ pub struct Wire {
     pub dst_port: u8,
     /// Declared data-path type (checked at creation, paper §5.2).
     pub wire_type: WireType,
-    /// Rate adaptation state, rebuilt when endpoint rates change.
-    pub resampler: Option<Resampler>,
-    /// Rates the resampler was built for.
-    pub resampler_rates: (u32, u32),
+    /// The wire's slot in the engine data plane, assigned at the first
+    /// plan build after creation (under the write lock).
+    pub slot: Option<u32>,
 }
 
 impl Wire {
@@ -51,37 +51,52 @@ impl Wire {
             dst,
             dst_port,
             wire_type,
-            resampler: None,
-            resampler_rates: (0, 0),
+            slot: None,
         }
     }
+}
 
-    /// Moves `samples` from the source to the sink side, adapting sample
-    /// rates as needed.
-    pub fn transfer(&mut self, samples: &[i16], src_rate: u32, dst_rate: u32) -> Vec<i16> {
-        let mut out = Vec::new();
-        self.transfer_into(samples, src_rate, dst_rate, &mut out);
-        out
+/// A wire's streaming state: its rate adaptation, held in one dense
+/// [`crate::plan::Slab`] slot so the tick reaches it without a lookup.
+#[derive(Debug)]
+pub struct WireSlot {
+    /// The wire holding this slot ([`WireSlot::FREE`] when vacant).
+    pub wire: u32,
+    /// Rate adaptation state, rebuilt when endpoint rates change.
+    resampler: Option<Resampler>,
+    /// Rates the resampler was built for.
+    rates: (u32, u32),
+}
+
+impl WireSlot {
+    /// The `wire` of a vacant slot.
+    pub const FREE: u32 = u32::MAX;
+
+    /// Fresh streaming state for wire `wire`.
+    pub fn new(wire: u32) -> Self {
+        WireSlot { wire, resampler: None, rates: (0, 0) }
     }
 
-    /// Moves `samples` from the source to the sink side, appending to
-    /// `out`. Allocation-free when `out` has capacity (except the one-time
-    /// resampler construction when endpoint rates change).
-    pub fn transfer_into(
+    /// Marks the endpoints equal-rate: any stale resampler is dropped, so
+    /// a later rate change starts a fresh one.
+    pub fn bypass(&mut self) {
+        self.resampler = None;
+    }
+
+    /// Resamples `samples` from `src_rate` to `dst_rate` (which differ;
+    /// equal-rate endpoints [`WireSlot::bypass`] instead), appending to
+    /// `out`: allocation-free when `out` has capacity. The resampler is
+    /// rebuilt when the endpoint rates change.
+    pub fn resample_into(
         &mut self,
         samples: &[i16],
         src_rate: u32,
         dst_rate: u32,
         out: &mut Vec<i16>,
     ) {
-        if src_rate == dst_rate {
-            self.resampler = None;
-            out.extend_from_slice(samples);
-            return;
-        }
-        if self.resampler.is_none() || self.resampler_rates != (src_rate, dst_rate) {
+        if self.resampler.is_none() || self.rates != (src_rate, dst_rate) {
             self.resampler = Some(Resampler::new(src_rate, dst_rate));
-            self.resampler_rates = (src_rate, dst_rate);
+            self.rates = (src_rate, dst_rate);
         }
         self.resampler.as_mut().expect("just set").push_into(samples, out);
     }
@@ -91,34 +106,38 @@ impl Wire {
 mod tests {
     use super::*;
 
-    fn wire() -> Wire {
-        Wire::new(WireId(1), ClientId(1), VDeviceId(2), 0, VDeviceId(3), 0, WireType::Any)
+    fn wire() -> WireSlot {
+        WireSlot::new(1)
     }
 
+    /// Equal-rate endpoints copy ring to ring in the engine; the wire
+    /// only drops any resampler an earlier rate pair left.
     #[test]
     fn same_rate_passthrough() {
         let mut w = wire();
-        assert_eq!(w.transfer(&[1, 2, 3], 8000, 8000), vec![1, 2, 3]);
+        w.resample_into(&[1, 2, 3], 8000, 16000, &mut Vec::new());
+        assert!(w.resampler.is_some());
+        w.bypass();
         assert!(w.resampler.is_none());
     }
 
     #[test]
     fn rate_adaptation_upsamples() {
         let mut w = wire();
-        let mut total = 0usize;
+        let mut out = Vec::new();
         for _ in 0..100 {
-            total += w.transfer(&[100; 80], 8000, 16000).len();
+            w.resample_into(&[100; 80], 8000, 16000, &mut out);
         }
         // 8000 frames in -> ~16000 out (minus lookahead latency).
-        assert!((total as i64 - 16000).abs() < 8, "{total}");
+        assert!((out.len() as i64 - 16000).abs() < 8, "{}", out.len());
     }
 
     #[test]
     fn resampler_rebuilt_on_rate_change() {
         let mut w = wire();
-        w.transfer(&[0; 80], 8000, 16000);
-        assert_eq!(w.resampler_rates, (8000, 16000));
-        w.transfer(&[0; 80], 8000, 44100);
-        assert_eq!(w.resampler_rates, (8000, 44100));
+        w.resample_into(&[0; 80], 8000, 16000, &mut Vec::new());
+        assert_eq!(w.rates, (8000, 16000));
+        w.resample_into(&[0; 80], 8000, 44100, &mut Vec::new());
+        assert_eq!(w.rates, (8000, 44100));
     }
 }

@@ -11,24 +11,31 @@ use da_proto::request::Request;
 use da_proto::types::{DeviceClass, WireType};
 use da_server::core::{Core, ServerConfig, ServerMsg};
 use da_server::dispatch::dispatch;
-use da_server::plan::{build_route_plans, PlanCache, PlanDevice, PlanPort, PlanWire, RoutePlan};
+use da_server::plan::{build_route_plans, PlanDevice, PlanPort, PlanWire, RoutePlan, NO_SLOT};
 
-fn port(port: u8, wires: &[(u32, u32, u8)]) -> PlanPort {
+/// The slot a device's owner names (`NO_SLOT` before any plan build).
+fn dev_slot(core: &Core, vid: u32) -> u32 {
+    core.vdevs.get(&vid).and_then(|v| v.slot).unwrap_or(NO_SLOT)
+}
+
+fn port(core: &Core, port: u8, wires: &[(u32, u32, u8)]) -> PlanPort {
     PlanPort {
         port,
         wires: wires
             .iter()
             .map(|&(wire, dst, dst_port)| PlanWire {
                 wire,
+                slot: core.wires.get(&wire).and_then(|w| w.slot).unwrap_or(NO_SLOT),
                 dst,
+                dst_slot: dev_slot(core, dst),
                 dst_port,
             })
             .collect(),
     }
 }
 
-fn device(vid: u32, ports: Vec<PlanPort>) -> PlanDevice {
-    PlanDevice { vid, ports }
+fn device(core: &Core, vid: u32, ports: Vec<PlanPort>) -> PlanDevice {
+    PlanDevice { vid, slot: dev_slot(core, vid), ports }
 }
 
 #[test]
@@ -111,9 +118,15 @@ fn one_pass_builder_buckets_interleaved_trees_exactly() {
         .collect();
     assert!(errors.is_empty(), "fixture set-up failed: {errors:?}");
 
-    let mut cache = PlanCache::default();
-    cache.ensure_fresh(&core);
-    let mut roots = cache.active_roots.clone();
+    // An engine tick's plan refresh, with the data plane detached as the
+    // tick detaches it.
+    let mut plane = std::mem::take(&mut core.plane);
+    plane.ensure_fresh(&mut core);
+    core.plane = plane;
+    let core = &core;
+    let cache = &core.plane.plans;
+    let active: Vec<u32> = cache.active_roots.iter().map(|r| r.root).collect();
+    let mut roots = active.clone();
     roots.sort_unstable();
     assert_eq!(
         roots,
@@ -126,29 +139,30 @@ fn one_pass_builder_buckets_interleaved_trees_exactly() {
         let order = if root == loud(1) {
             vec![
                 device(
+                    core,
                     dev(0x00),
-                    vec![port(0, &[(wire(1), dev(0x02), 0), (wire(4), dev(0x01), 0)])],
+                    vec![port(core, 0, &[(wire(1), dev(0x02), 0), (wire(4), dev(0x01), 0)])],
                 ),
-                device(dev(0x02), vec![port(0, &[(wire(7), dev(0x01), 1)])]),
-                device(dev(0x01), vec![port(0, &[(wire(10), dev(0x03), 0)])]),
-                device(dev(0x03), vec![]),
+                device(core, dev(0x02), vec![port(core, 0, &[(wire(7), dev(0x01), 1)])]),
+                device(core, dev(0x01), vec![port(core, 0, &[(wire(10), dev(0x03), 0)])]),
+                device(core, dev(0x03), vec![]),
             ]
         } else if root == loud(2) {
             vec![
-                device(dev(0x10), vec![port(0, &[(wire(2), dev(0x12), 0)])]),
-                device(dev(0x12), vec![port(0, &[(wire(5), dev(0x11), 0)])]),
-                device(dev(0x11), vec![]),
+                device(core, dev(0x10), vec![port(core, 0, &[(wire(2), dev(0x12), 0)])]),
+                device(core, dev(0x12), vec![port(core, 0, &[(wire(5), dev(0x11), 0)])]),
+                device(core, dev(0x11), vec![]),
             ]
         } else {
             vec![
-                device(dev(0x20), vec![port(0, &[(wire(3), dev(0x21), 0)])]),
-                device(dev(0x21), vec![]),
-                device(dev(0x22), vec![]),
+                device(core, dev(0x20), vec![port(core, 0, &[(wire(3), dev(0x21), 0)])]),
+                device(core, dev(0x21), vec![]),
+                device(core, dev(0x22), vec![]),
             ]
         };
         RoutePlan { order }
     };
-    for (plan, &root) in cache.routes.iter().zip(&cache.active_roots) {
+    for (plan, &root) in cache.routes.iter().zip(&active) {
         assert_eq!(plan, &expected(root), "plan for root {root}");
     }
 
@@ -160,7 +174,7 @@ fn one_pass_builder_buckets_interleaved_trees_exactly() {
         0x20..=0x2f => loud(3),
         _ => loud(4),
     };
-    for (plan, &root) in cache.routes.iter().zip(&cache.active_roots) {
+    for (plan, &root) in cache.routes.iter().zip(&active) {
         for d in &plan.order {
             assert_eq!(
                 tree_of(d.vid),
@@ -185,7 +199,7 @@ fn one_pass_builder_buckets_interleaved_trees_exactly() {
 
     // A direct build over all four roots still gives D its own plan, so
     // its absence above comes from activation, not from the bucketing.
-    let all = build_route_plans(&core, &[loud(1), loud(2), loud(3), loud(4)]);
+    let all = build_route_plans(core, &[loud(1), loud(2), loud(3), loud(4)]);
     assert_eq!(
         all[..3],
         [expected(loud(1)), expected(loud(2)), expected(loud(3))]
@@ -195,11 +209,12 @@ fn one_pass_builder_buckets_interleaved_trees_exactly() {
         RoutePlan {
             order: vec![
                 device(
+                    core,
                     dev(0x30),
-                    vec![port(0, &[(wire(6), dev(0x31), 0), (wire(9), dev(0x32), 1)])]
+                    vec![port(core, 0, &[(wire(6), dev(0x31), 0), (wire(9), dev(0x32), 1)])]
                 ),
-                device(dev(0x31), vec![]),
-                device(dev(0x32), vec![]),
+                device(core, dev(0x31), vec![]),
+                device(core, dev(0x32), vec![]),
             ]
         }
     );

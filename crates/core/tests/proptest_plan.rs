@@ -1,8 +1,10 @@
-//! Property tests for the cached engine data plane: after an arbitrary
+//! Property tests for the engine data plane: after an arbitrary
 //! sequence of topology mutations (device/wire creation and destruction,
-//! mapping, raising, unmapping) with cache refreshes interleaved at
-//! arbitrary points — exactly what engine ticks do — a refreshed
-//! [`PlanCache`] is identical to a fresh recompute. This catches any
+//! devices destroyed and re-created under the same id, mapping, raising,
+//! unmapping) with plan refreshes interleaved at arbitrary points —
+//! exactly what engine ticks do — the refreshed plans are identical to a
+//! fresh recompute, and the slot slab to a fresh resolve (invariant
+//! V10), however often slots were reclaimed and reused. This catches any
 //! mutation path that forgets to bump `Core::topology_gen`: the final
 //! `ensure_fresh` is a no-op unless the generation moved, so a missing
 //! bump leaves the cache stale and the comparison fails.
@@ -13,7 +15,8 @@ use da_proto::request::Request;
 use da_proto::types::{DeviceClass, WireType};
 use da_server::core::{Core, ServerConfig};
 use da_server::dispatch::dispatch;
-use da_server::plan::{build_route_plans, is_consumer, is_producer, PlanCache};
+use da_server::plan::{build_route_plans, is_consumer, is_producer};
+use da_server::validate;
 use da_server::vdevice::HwBinding;
 use proptest::prelude::*;
 
@@ -27,6 +30,9 @@ enum Op {
     DestroyVDev { slot: u8 },
     CreateWire { slot: u8, src: u8, sport: u8, dst: u8, dport: u8 },
     DestroyWire { slot: u8 },
+    /// Destroy a device, let a tick reclaim its slot, and create it
+    /// again under the same id: the next assignment reuses the slot.
+    Recreate { slot: u8, class: u8, loud: u8 },
     Map { loud: u8 },
     Unmap { loud: u8 },
     Raise { loud: u8 },
@@ -48,6 +54,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 dport,
             }),
         1 => (0u8..12).prop_map(|slot| Op::DestroyWire { slot }),
+        2 => (0u8..8, 0u8..8, 0u8..2)
+            .prop_map(|(slot, class, loud)| Op::Recreate { slot, class, loud }),
         2 => (0u8..2).prop_map(|loud| Op::Map { loud }),
         1 => (0u8..2).prop_map(|loud| Op::Unmap { loud }),
         1 => (0u8..2).prop_map(|loud| Op::Raise { loud }),
@@ -70,6 +78,18 @@ fn class_of(idx: u8) -> DeviceClass {
     }
 }
 
+/// An engine tick's plan refresh: the core's own data plane, detached
+/// for the rebuild exactly as the tick detaches it.
+fn refresh(core: &mut Core) {
+    let mut plane = std::mem::take(&mut core.plane);
+    plane.ensure_fresh(core);
+    core.plane = plane;
+}
+
+fn create(id: VDeviceId, loud: LoudId, class: u8) -> Request {
+    Request::CreateVDevice { id, loud, class: class_of(class), attrs: Vec::new() }
+}
+
 proptest! {
     #[test]
     fn cached_plan_matches_fresh_recompute(ops in prop::collection::vec(arb_op(), 0..48)) {
@@ -82,22 +102,18 @@ proptest! {
         dispatch(&mut core, client, 0, Request::CreateLoud { id: loud_id(0), parent: None });
         dispatch(&mut core, client, 0, Request::CreateLoud { id: loud_id(1), parent: None });
 
-        let mut cache = PlanCache::default();
-        cache.ensure_fresh(&core);
+        refresh(&mut core);
 
         for op in ops {
             match op {
-                Op::CreateVDev { slot, class, loud } => dispatch(
-                    &mut core,
-                    client,
-                    0,
-                    Request::CreateVDevice {
-                        id: vdev_id(slot),
-                        loud: loud_id(loud),
-                        class: class_of(class),
-                        attrs: Vec::new(),
-                    },
-                ),
+                Op::CreateVDev { slot, class, loud } => {
+                    dispatch(&mut core, client, 0, create(vdev_id(slot), loud_id(loud), class))
+                }
+                Op::Recreate { slot, class, loud } => {
+                    dispatch(&mut core, client, 0, Request::DestroyVDevice { id: vdev_id(slot) });
+                    refresh(&mut core);
+                    dispatch(&mut core, client, 0, create(vdev_id(slot), loud_id(loud), class));
+                }
                 Op::DestroyVDev { slot } => dispatch(
                     &mut core,
                     client,
@@ -141,35 +157,39 @@ proptest! {
                     0,
                     Request::RaiseLoud { id: loud_id(loud) },
                 ),
-                Op::Sync => {
-                    cache.ensure_fresh(&core);
-                }
+                Op::Sync => refresh(&mut core),
             }
         }
 
         // The next tick's refresh: a no-op unless the generation moved,
         // so a mutation path that forgot to invalidate leaves the cache
         // stale and the assertions below catch it.
-        cache.ensure_fresh(&core);
+        refresh(&mut core);
 
+        let cache = &core.plane.plans;
         let expected_roots: Vec<u32> = core
             .active_stack
             .iter()
             .copied()
             .filter(|r| core.louds.get(r).map(|l| l.active) == Some(true))
             .collect();
-        prop_assert_eq!(&cache.active_roots, &expected_roots);
+        let cached_roots: Vec<u32> = cache.active_roots.iter().map(|r| r.root).collect();
+        prop_assert_eq!(&cached_roots, &expected_roots);
+        for r in &cache.active_roots {
+            prop_assert_eq!(Some(r.slot), core.louds.get(&r.root).and_then(|l| l.slot));
+        }
         prop_assert_eq!(&cache.routes, &build_route_plans(&core, &expected_roots));
+        let binding = |v: &da_server::vdevice::VDev| core.dev_slot(v).and_then(|d| d.binding);
         let bound = |keep: fn(DeviceClass) -> bool| {
-            let mut ids: Vec<u32> = core
+            let mut ids: Vec<(u32, u32)> = core
                 .vdevs
                 .values()
-                .filter(|v| v.binding.is_some() && keep(v.class))
+                .filter(|v| binding(v).is_some() && keep(v.class))
                 .filter(|v| core.louds.get(&v.root).map(|l| l.active) == Some(true))
-                .map(|v| v.id.0)
+                .map(|v| (v.id.0, v.slot.expect("a refreshed device has a slot")))
                 .collect();
             ids.sort_unstable();
-            ids
+            ids.into_iter().map(|(_, slot)| slot).collect::<Vec<u32>>()
         };
         prop_assert_eq!(&cache.producers, &bound(is_producer));
         prop_assert_eq!(&cache.consumers, &bound(is_consumer));
@@ -177,12 +197,17 @@ proptest! {
             let mut bound: Vec<u32> = core
                 .vdevs
                 .values()
-                .filter(|v| v.binding == Some(HwBinding::Line(line)))
+                .filter(|v| binding(v) == Some(HwBinding::Line(line)))
                 .map(|v| v.id.0)
                 .collect();
             bound.sort_unstable();
             prop_assert_eq!(&cache.line_bound[i], &bound);
         }
+        // The slab is a fresh resolve: every planned id maps to the slot
+        // holding its state, with no dangling or duplicate slots.
+        let v10: Vec<_> =
+            validate::check_all(&core).into_iter().filter(|v| v.invariant == "V10").collect();
+        prop_assert!(v10.is_empty(), "{:?}", v10);
     }
 
     // The plan computation itself is deterministic: recomputing from the

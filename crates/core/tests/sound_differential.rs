@@ -130,10 +130,10 @@ fn digest(core: &Core) -> String {
             v.root,
             v.class,
             v.attrs,
-            v.binding,
-            v.rate,
+            core.dev_slot(v).and_then(|d| d.binding),
+            core.device_rate(v),
             v.sync_interval,
-            v.paused,
+            core.dev_slot(v).is_some_and(|d| d.paused),
         ));
     }
     for (id, w) in core.wires.iter() {

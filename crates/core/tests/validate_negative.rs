@@ -133,6 +133,26 @@ fn attribute_change_without_dirty_is_caught() {
     assert_eq!(validate::check_all(&core), Vec::new());
 }
 
+/// V10: after a plan build, every device names the slot holding its
+/// streaming state. A device pointed at another device's slot is
+/// flagged, as is the slot it abandoned.
+#[test]
+fn corrupt_slot_index_is_caught() {
+    let (mut core, client, base) = seeded();
+    dispatch(&mut core, client, 0, Request::MapLoud { id: LoudId(base + 1) });
+    da_server::engine::tick(&mut core);
+    assert_eq!(validate::check_all(&core), Vec::new());
+    let (a, b) = (base + 0x10, base + 0x11);
+    let b_slot = core.vdevs.get(&b).unwrap().slot;
+    assert!(b_slot.is_some() && core.vdevs.get(&a).unwrap().slot != b_slot);
+    // Corrupt: device A now names device B's slot.
+    core.vdevs.get_mut(&a).unwrap().slot = b_slot;
+    let found = validate::check_all(&core);
+    let has = |text: &str| found.iter().any(|v| v.invariant == "V10" && v.detail.contains(text));
+    assert!(has("share slot"), "{found:?}");
+    assert!(has("no vdev points"), "{found:?}");
+}
+
 /// The debug-build dispatch hook turns any violation into a panic at
 /// the offending request, so corruption cannot survive unnoticed past a
 /// single dispatch in tests.

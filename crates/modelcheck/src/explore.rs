@@ -184,8 +184,9 @@ pub fn fingerprint(core: &Core) -> u64 {
                 for e in q.raw_entries() {
                     fp.bytes(&e.to_wire());
                 }
-                fp.u8(u8::from(q.running.is_some()));
-                if let Some(r) = &q.running {
+                let running = core.running(l.id.0);
+                fp.u8(u8::from(running.is_some()));
+                if let Some(r) = running {
                     hash_runnode(&mut fp, r);
                 }
                 fp.u32(q.open_depth());
@@ -206,8 +207,10 @@ pub fn fingerprint(core: &Core) -> u64 {
         for a in &v.attrs {
             fp.bytes(&a.to_wire());
         }
-        fp.u32(v.gain_milli);
-        match v.binding {
+        // A device with no slot yet has a fresh slot's streaming state.
+        let d = core.dev_slot(v);
+        fp.u32(d.map_or(da_dsp::gain::UNITY, |d| d.gain_milli));
+        match d.and_then(|d| d.binding) {
             None => fp.u8(0),
             Some(da_server::vdevice::HwBinding::Speaker(i)) => {
                 fp.u8(1);
@@ -220,11 +223,10 @@ pub fn fingerprint(core: &Core) -> u64 {
             Some(da_server::vdevice::HwBinding::Line(_)) => fp.u8(3),
             Some(da_server::vdevice::HwBinding::Software) => fp.u8(4),
         }
-        fp.u32(v.rate);
+        fp.u32(core.device_rate(v));
         fp.u32(v.sync_interval);
-        fp.u8(u8::from(v.paused));
-        fp.u8(u8::from(v.op.is_some()));
-        fp.u8(u8::from(v.abort_op));
+        fp.u8(u8::from(d.is_some_and(|d| d.paused)));
+        fp.u8(u8::from(d.is_some_and(|d| d.op.is_some())));
     }
 
     let mut wire_ids: Vec<u32> = core.wires.keys().copied().collect();
@@ -245,7 +247,7 @@ pub fn fingerprint(core: &Core) -> u64 {
     for &r in &core.active_stack {
         fp.u32(r);
     }
-    for list in [&core.pending_maps, &core.pending_raises, &core.queue_failures] {
+    for list in [&core.pending_maps, &core.pending_raises] {
         fp.u32(list.len() as u32);
         for &r in list {
             fp.u32(r);

@@ -233,7 +233,7 @@ fn play_or_record_on_hardware_device_stops_queue_with_error() {
     let tone = da_dsp::tone::sine(44_100, 440.0, 4_410, 8000);
     let cd = conn.upload_pcm(SoundType::CD, &tone).unwrap();
     let rate_of = |v: da_proto::VDeviceId| {
-        control.with_core(|c| c.vdevs.get(&v.0).map(|d| d.rate)).expect("vdev")
+        control.with_core(|c| c.vdevs.get(&v.0).map(|d| c.device_rate(d))).expect("vdev")
     };
     let cases = [
         (DeviceClass::Output, DeviceCommand::Play(cd)),
