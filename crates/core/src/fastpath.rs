@@ -39,8 +39,9 @@ use da_proto::ids::{ClientId, DeviceId, LoudId, ResourceId};
 use da_proto::reply::Reply;
 use da_proto::request::Request;
 use da_proto::types::{PortDir, Property, SoundType, WireType};
-use parking_lot::RwLock;
+use parking_lot::{MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// An own-client resource target (never a physical device).
 fn own_target(client: ClientId, target: ResourceId) -> bool {
@@ -132,22 +133,31 @@ pub const OPCODE_TOUCHES: &[(&str, Footprint, &str)] = &[
 
 /// Exclusive access to every sharded map, as the handlers see it: one
 /// shard's partition (the fast path) or every shard (the write-lock
-/// path), each key routed to its own shard. Each field is a
+/// path), each key routed to its own shard. Each map field is a
 /// [`MapView`] guard: in debug builds its lifetime is registered with
 /// the borrow sanitizer, so any `&Core` read of a covered shard while
 /// the view is live panics instead of racing, and a single-shard view
 /// panics when asked for a key outside its shard.
+///
+/// There are two ways to build one, and each proves its own lock:
+/// [`ShardView::striped`] takes a core read guard and locks the shard's
+/// stripe itself, [`ShardView::exclusive`] takes `&mut Core`.
 pub struct ShardView<'a> {
     pub louds: MapView<'a, u32, Loud>,
     pub vdevs: MapView<'a, u32, VDev>,
     pub wires: MapView<'a, u32, Wire>,
     pub sounds: MapView<'a, u32, Sound>,
     pub properties: MapView<'a, ResKey, HashMap<u32, Property>>,
+    /// The stripe a single-shard view holds, with how long it waited
+    /// for it; `None` for the exclusive form. Declared after the maps, so
+    /// the stripe is released only once every map view has dropped.
+    stripe: Option<(MutexGuard<'a, ()>, Duration)>,
 }
 
 impl<'a> ShardView<'a> {
     /// Builds the view over shard `only`, or over every shard for
-    /// `None`.
+    /// `None`, taking no lock. Private: [`striped`](Self::striped) and
+    /// [`exclusive`](Self::exclusive) are the ways in.
     ///
     /// # Safety
     ///
@@ -155,14 +165,66 @@ impl<'a> ShardView<'a> {
     /// that shard's stripe; for every shard, exclusive access to the
     /// core. Either way it must not access any of the five sharded maps
     /// through `&Core` while the view is live.
-    pub unsafe fn new(core: &'a Core, only: Option<usize>) -> ShardView<'a> {
+    unsafe fn new(core: &'a Core, only: Option<usize>) -> ShardView<'a> {
         ShardView {
             louds: core.louds.view_mut(only),
             vdevs: core.vdevs.view_mut(only),
             wires: core.wires.view_mut(only),
             sounds: core.sounds.view_mut(only),
             properties: core.properties.view_mut(only),
+            stripe: None,
         }
+    }
+
+    /// The fast-path form: a view of shard `shard` under a core read
+    /// guard. It locks that shard's stripe itself and holds it until the
+    /// view drops, so a view without its stripe, with another shard's
+    /// stripe, or with the stripe taken before the core lock cannot be
+    /// written. The stripe wait goes to `shard_lock_wait_us` and stays
+    /// readable through [`stripe_wait`](Self::stripe_wait). A thread
+    /// holds one such view at a time: a second would take a second
+    /// stripe, and two threads doing that in opposite orders deadlock.
+    ///
+    /// ```no_run
+    /// use da_server::{core::Core, fastpath::ShardView, ServerConfig};
+    /// let core = parking_lot::RwLock::new(Core::new(ServerConfig::default()));
+    /// let guard = core.read();
+    /// // SAFETY: the sharded maps are reached only through the view.
+    /// let _view = unsafe { ShardView::striped(&guard, 0) };
+    /// ```
+    ///
+    /// Under the write lock the exclusive form is the only view:
+    ///
+    /// ```compile_fail
+    /// use da_server::{core::Core, fastpath::ShardView, ServerConfig};
+    /// let core = parking_lot::RwLock::new(Core::new(ServerConfig::default()));
+    /// let guard = core.write(); // ERROR below: expected `RwLockReadGuard`
+    /// // SAFETY: the sharded maps are reached only through the view.
+    /// let _view = unsafe { ShardView::striped(&guard, 0) };
+    /// ```
+    ///
+    /// Nor can a single-shard view skip the stripe:
+    ///
+    /// ```compile_fail
+    /// use da_server::{core::Core, fastpath::ShardView, ServerConfig};
+    /// let core = parking_lot::RwLock::new(Core::new(ServerConfig::default()));
+    /// let guard = core.read();
+    /// // SAFETY: the sharded maps are reached only through the view.
+    /// let _view = unsafe { ShardView::new(&guard, Some(0)) }; // ERROR: `new` is private
+    /// ```
+    ///
+    /// # Safety
+    ///
+    /// The caller must not access any of the five sharded maps through
+    /// `core` while the view is live.
+    pub unsafe fn striped(core: &'a RwLockReadGuard<'_, Core>, shard: usize) -> ShardView<'a> {
+        let core: &'a Core = core;
+        let waited = Instant::now();
+        let stripe = core.stripes.stripe(shard);
+        let lock = stripe.lock();
+        let wait = waited.elapsed();
+        core.tel.metrics.shard_lock_wait_us.record_duration_us(wait);
+        ShardView { stripe: Some((lock, wait)), ..ShardView::new(core, Some(shard)) }
     }
 
     /// The write-lock form: a view of every shard, returned with the
@@ -176,6 +238,12 @@ impl<'a> ShardView<'a> {
     pub unsafe fn exclusive(core: &'a mut Core) -> (&'a Core, ShardView<'a>) {
         let core: &'a Core = core;
         (core, ShardView::new(core, None))
+    }
+
+    /// How long a single-shard view waited for its stripe; `None` for
+    /// the exclusive form, which holds no stripe.
+    pub fn stripe_wait(&self) -> Option<Duration> {
+        self.stripe.as_ref().map(|&(_, wait)| wait)
     }
 
     fn loud(&self, id: u32) -> Result<&Loud, ProtoError> {
@@ -324,15 +392,13 @@ pub fn try_dispatch(core: &RwLock<Core>, client: ClientId, seq: u32, request: &R
         if c.shutting_down {
             return false;
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         c.tel.recorder.dispatch_begin(client.0, seq);
         let shard = (client.0 as usize) % c.stripes.len();
-        let waited = std::time::Instant::now();
-        let stripe = c.stripes.stripe(shard);
-        let _stripe = stripe.lock();
-        let shard_wait = waited.elapsed();
-        c.tel.metrics.shard_lock_wait_us.record_duration_us(shard_wait);
-        let held = std::time::Instant::now();
+        // SAFETY: until the view is dropped below, the sharded maps are
+        // reached only through it.
+        let mut view = unsafe { ShardView::striped(&c, shard) };
+        let held = Instant::now();
         let op = request.opcode();
         let _span = da_telemetry::span!(c.tel.journal, "dispatch", client = client.0, opcode = op);
         let handled = {
@@ -340,11 +406,12 @@ pub fn try_dispatch(core: &RwLock<Core>, client: ClientId, seq: u32, request: &R
             // (readable via `rt::scope_allocs`); the zero-alloc suite
             // asserts pure opcodes tally zero.
             let _count = crate::rt::ScopedAllocGuard::count();
-            // SAFETY: core read lock + stripe `shard` held; within this
-            // block the sharded maps are accessed only through the view.
-            let mut view = unsafe { ShardView::new(&c, Some(shard)) };
             exec_shard(&c, &mut view, client, seq, request)
         };
+        let shard_wait = view.stripe_wait();
+        // Releases the stripe: the tail below reads `&Core`.
+        drop(view);
+        c.tel.metrics.shard_lock_hold_us.record_duration_us(held.elapsed());
         let result = match handled {
             Ok(Handled::Rebind | Handled::Unpause(_)) => None,
             Ok(Handled::Done(reply)) => Some(Ok(reply)),
@@ -352,9 +419,8 @@ pub fn try_dispatch(core: &RwLock<Core>, client: ClientId, seq: u32, request: &R
         };
         let done = result.is_some();
         if let Some(result) = result {
-            finish_dispatch(&c, client, seq, request, result, started, Some(shard_wait));
+            finish_dispatch(&c, client, seq, request, result, started, shard_wait);
         }
-        c.tel.metrics.shard_lock_hold_us.record_duration_us(held.elapsed());
         done
     };
     // Debug builds re-establish the full invariant set after every fast
@@ -823,10 +889,8 @@ mod tests {
         let (core, client, _rx) = rigged();
         let c = core.read();
         let shard = client.0 as usize % c.stripes.len();
-        let _stripe = c.stripes.stripe(shard).lock();
-        // SAFETY: core read lock + stripe `shard` held; the maps are
-        // reached only through the view.
-        let view = unsafe { ShardView::new(&c, Some(shard)) };
+        // SAFETY: the maps are reached only through the view.
+        let view = unsafe { ShardView::striped(&c, shard) };
         assert!(view.louds.get(&((client.0 << 20) | 1)).is_none());
         let foreign = ((client.0 + 1) << 20) | 1;
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -9,7 +9,7 @@
 //!
 //! The oracle, run after every transition:
 //!
-//! - every structural invariant of [`da_server::validate`] (V1–V13);
+//! - every structural invariant of [`da_server::validate`] (V1–V15);
 //! - **T1 (frozen queues, paper §5.5)**: a queue that was not `Started`
 //!   before an engine tick is byte-identical after it — state,
 //!   queue-relative time, pending depth and entry cursor all unchanged

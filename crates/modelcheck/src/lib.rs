@@ -1,7 +1,7 @@
 //! Systematic correctness tooling for the desktop-audio server.
 //!
-//! Two complementary instruments, both deterministic and dependency-free
-//! so they can run in CI on every push:
+//! Three complementary instruments, all dependency-free so they can run
+//! in CI on every push:
 //!
 //! - [`explore`]: a bounded explicit-state model checker in the TLC
 //!   tradition. It drives an in-memory [`da_server::Core`] through every
@@ -24,20 +24,16 @@
 //!   a live in-process server, asserting the validate catalog, engine
 //!   liveness, and complete disconnect cleanup after every wave.
 //!
-//! - [`sched`]: a deterministic scheduler (loom-style) that explores
-//!   interleavings of modeled connection-plane actors — fast-path
-//!   dispatcher, slow-path writer, reaper, engine tick — over a
-//!   schedule-controlled lock shim, checking the validate catalog plus
-//!   aliasing/deadlock oracles (A1–A3, D1) and minimizing any breaching
-//!   schedule to a replayable counterexample.
+//! The fast path's lock protocol is not modeled here: it is a type
+//! (`da_server::fastpath::ShardView::striped`), watched at runtime by
+//! the debug borrow sanitizer that every debug run of these tools
+//! carries, and checked statically by `xtask races` (DESIGN.md §14).
 //!
 //! All are exposed through the workspace automation binary:
-//! `cargo run -p xtask -- explore`, `-- interleave`, `-- fuzz`, and
-//! `-- soak`.
+//! `cargo run -p xtask -- explore`, `-- fuzz`, and `-- soak`.
 
 pub mod explore;
 pub mod fuzz;
-pub mod sched;
 pub mod soak;
 pub mod world;
 

@@ -6,7 +6,7 @@
 //! corruption, delayed writes, and hard mid-stream disconnects, all
 //! from per-session seeded plans. The server must ride it out: after
 //! every wave of sessions the soak asserts the full validate catalog
-//! (V1–V13) over the live core, that a fault-free control connection
+//! (V1–V15) over the live core, that a fault-free control connection
 //! still gets answers, and that the engine keeps ticking. At the end,
 //! every client must be gone from the core (no leaked LOUDs, queues,
 //! sounds or selections; DESIGN.md §12).

@@ -3,20 +3,16 @@
 //! - `cargo run -p xtask -- lint` — the workspace consistency lints;
 //!   exits non-zero if any finding survives the allowlist.
 //! - `cargo run -p xtask -- races` — the concurrency soundness lints
-//!   over the sharded connection plane (SAFETY comments, stripe-guard
-//!   protocol, mode-aware lock order, fastpath whitelist proof); exits
-//!   non-zero if any finding survives `races-allow.txt`.
+//!   over the sharded connection plane (SAFETY comments, raw shard
+//!   entries only inside an `unsafe fn`, mode-aware lock order,
+//!   fastpath whitelist proof); exits non-zero if any finding survives
+//!   `races-allow.txt`.
 //! - `cargo run -p xtask -- rtsafe` — the real-time-safety lints: call
 //!   graphs from the declared RT entry points (engine tick, fast-path
 //!   exec, outbound drain) are taint-checked for allocation, blocking,
 //!   and unbounded-work sinks, with a bidirectionally-verified
 //!   `// rt-ok:` justification grammar; exits non-zero if any finding
 //!   survives `rtsafe-allow.txt`.
-//! - `cargo run -p xtask -- interleave [--budget N] [--seed N] [--fault NAME] [--require N]`
-//!   — the deterministic connplane interleaving explorer; exits
-//!   non-zero and prints a minimized, replayable schedule on an oracle
-//!   breach (or, with `--require`, when fewer than N distinct
-//!   interleavings were explored).
 //! - `cargo run -p xtask -- explore [--budget N] [--depth N] [--seed-topology NAME]`
 //!   — the bounded model checker over the queue/activation state machine;
 //!   exits non-zero and prints a minimized, replayable counterexample on
@@ -36,7 +32,6 @@ use std::process::ExitCode;
 
 use da_modelcheck::explore::{explore, Config};
 use da_modelcheck::fuzz::{fuzz, seed_corpus, FuzzConfig};
-use da_modelcheck::sched::{explore_interleavings, SchedConfig, SchedFault};
 use da_modelcheck::soak::{soak, SoakConfig};
 use da_modelcheck::Seed;
 
@@ -56,13 +51,12 @@ fn main() -> ExitCode {
         Some("races") => run_races(),
         Some("rtsafe") => run_rtsafe(),
         Some("explore") => run_explore(&args[1..]),
-        Some("interleave") => run_interleave(&args[1..]),
         Some("fuzz") => run_fuzz(&args[1..]),
         Some("soak") => run_soak(&args[1..]),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- <lint | races | rtsafe | explore | interleave | \
-                 fuzz | soak> [options]"
+                "usage: cargo run -p xtask -- <lint | races | rtsafe | explore | fuzz | soak> \
+                 [options]"
             );
             if let Some(cmd) = other {
                 eprintln!("unknown command: {cmd}");
@@ -97,7 +91,7 @@ fn run_races() -> ExitCode {
     let root = workspace_root();
     match xtask::races::run_workspace_races(&root) {
         Ok(findings) if findings.is_empty() => {
-            println!("races: the stripe protocol, lock modes, and fastpath whitelist check out");
+            println!("races: shard entries, lock modes, and fastpath whitelist check out");
             ExitCode::SUCCESS
         }
         Ok(findings) => {
@@ -204,59 +198,6 @@ fn run_explore(args: &[String]) -> ExitCode {
         }
         ExitCode::FAILURE
     }
-}
-
-fn run_interleave(args: &[String]) -> ExitCode {
-    let Some(flags) = parse_flags(args, &["--budget", "--seed", "--fault", "--require"]) else {
-        return ExitCode::FAILURE;
-    };
-    let mut cfg = SchedConfig::default();
-    let mut require = 0u64;
-    for (flag, value) in flags {
-        match flag.as_str() {
-            "--budget" => match value.parse() {
-                Ok(n) => cfg.budget = n,
-                Err(_) => return bad_value(&flag, &value),
-            },
-            "--seed" => match value.parse() {
-                Ok(n) => cfg.seed = n,
-                Err(_) => return bad_value(&flag, &value),
-            },
-            "--fault" => {
-                cfg.fault = match value.as_str() {
-                    "none" => SchedFault::None,
-                    "wrong-stripe" => SchedFault::WrongStripe,
-                    "read-upgrade" => SchedFault::ReadUpgrade,
-                    _ => return bad_value(&flag, &value),
-                }
-            }
-            _ => match value.parse() {
-                Ok(n) => require = n,
-                Err(_) => return bad_value(&flag, &value),
-            },
-        }
-    }
-    let report = explore_interleavings(&cfg);
-    println!(
-        "interleave[{}]: {} distinct interleavings (seed {}), deepest schedule {} steps",
-        cfg.fault.name(),
-        report.interleavings,
-        cfg.seed,
-        report.deepest,
-    );
-    if let Some(cx) = &report.counterexample {
-        eprintln!("{}", cx.render());
-        return ExitCode::FAILURE;
-    }
-    if report.interleavings < require {
-        eprintln!(
-            "interleave: only {} distinct interleavings explored (require {require})",
-            report.interleavings,
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("interleave: all oracles hold across every explored schedule");
-    ExitCode::SUCCESS
 }
 
 fn run_fuzz(args: &[String]) -> ExitCode {

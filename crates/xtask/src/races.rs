@@ -10,16 +10,13 @@
 //! - **safety-comment** — every `unsafe` keyword in the server crates
 //!   must carry a `// SAFETY:` comment (or sit under a `# Safety` doc
 //!   section) justifying it.
-//! - **shard-guard** — every `ShardedMap::shard_mut` / `view_mut` /
-//!   `ShardView::new` call site must either live in an `unsafe fn`
-//!   (which forwards the obligation to *its* callers via `# Safety`,
-//!   themselves checked) or be lexically preceded, in the same
-//!   function, by the documented `core.read()` + stripe `.lock()`
-//!   acquisitions — the `[core, stripe]` LOCK_ORDER in acquisition
-//!   order. `ShardView::exclusive` is not an entry: it takes
-//!   `&mut Core`, so the borrow checker already proves its caller holds
-//!   the core exclusively. Raw `UnsafeCell` storage is confined to
-//!   `shard.rs`.
+//! - **shard-guard** — every `ShardedMap::view_mut` / `ShardView::new`
+//!   call site must live in an `unsafe fn`, which forwards the
+//!   obligation to *its* callers via `# Safety`. The callers reach the
+//!   maps through `ShardView::striped` (a core read guard; it locks the
+//!   stripe itself) or `ShardView::exclusive` (`&mut Core`), so the
+//!   types prove the lock and this pass only keeps the raw entries
+//!   behind them. Raw `UnsafeCell` storage is confined to `shard.rs`.
 //! - **fastpath-whitelist** — the `eligible()` whitelist, the
 //!   `exec_shard` match arms, `dispatch::execute`'s own arms, and the
 //!   per-opcode [`Footprint`] touches table must agree exactly: every
@@ -97,29 +94,25 @@ pub fn lint_safety_comments(server_files: &[(String, String)]) -> Vec<Finding> {
     out
 }
 
-/// The entry points into the aliased-shard world that need a lock the
-/// type system cannot see.
-const SHARD_ENTRIES: [&str; 3] = ["shard_mut(", "view_mut(", "ShardView::new("];
+/// The raw entry points into the aliased-shard world, whose lock only
+/// their `unsafe fn` callers' types prove.
+const SHARD_ENTRIES: [&str; 2] = ["view_mut(", "ShardView::new("];
 
-/// Pass `shard-guard`: call sites of [`SHARD_ENTRIES`] must be guarded.
-/// A site is accepted when its enclosing function is itself `unsafe`
-/// (the obligation is forwarded, and the forwarding fn's own call sites
-/// are checked in turn), or when the function lexically acquires
-/// `core.read()` and then a stripe `.lock()` before the call — the
-/// documented `[core, stripe]` protocol. `UnsafeCell` storage outside
-/// `shard.rs` is flagged unconditionally: there must be exactly one
-/// raw-pointer substrate. `#[cfg(test)]` modules are exempt — tests
-/// exercise the maps single-threaded, including deliberate misuse the
-/// sanitizer tests *rely* on.
+/// Pass `shard-guard`: call sites of [`SHARD_ENTRIES`] must sit inside
+/// an `unsafe fn` (the obligation is forwarded to its callers, whose
+/// `unsafe` blocks the `safety-comment` pass checks in turn), and
+/// `UnsafeCell` storage outside `shard.rs` is flagged unconditionally:
+/// there must be exactly one raw-pointer substrate. `#[cfg(test)]`
+/// modules are exempt — tests exercise the maps single-threaded,
+/// including deliberate misuse the sanitizer tests *rely* on.
 pub fn lint_shard_guard(server_files: &[(String, String)]) -> Vec<Finding> {
     const PASS: &str = "shard-guard";
     let mut out = Vec::new();
     for (path, text) in server_files {
         let in_shard_rs = path.ends_with("shard.rs");
         let mut depth = 0i32;
-        // Enclosing fn: (is_unsafe, body depth floor, saw core.read,
-        // saw stripe lock after the read).
-        let mut cur: Option<(bool, i32, bool, bool)> = None;
+        // Body depth floor of the enclosing `unsafe fn`, if any.
+        let mut unsafe_fn: Option<i32> = None;
         let mut pending_cfg_test = false;
         for (n, line) in text.lines().enumerate() {
             let t = line.trim_start();
@@ -147,39 +140,25 @@ pub fn lint_shard_guard(server_files: &[(String, String)]) -> Vec<Finding> {
                     ),
                 ));
             }
-            let is_fn_header = has_word(code, "fn") && code.contains('(');
-            if is_fn_header {
-                cur = Some((has_word(code, "unsafe"), depth, false, false));
-            } else if let Some((is_unsafe, _, saw_read, saw_stripe)) = cur.as_mut() {
-                let guarded_read = code.contains("core.read()");
-                let guarded_stripe =
-                    *saw_read && code.contains(".lock()") && code.contains("stripe");
-                if guarded_read {
-                    *saw_read = true;
-                }
-                if guarded_stripe {
-                    *saw_stripe = true;
-                }
-                for entry in SHARD_ENTRIES {
-                    if code.contains(entry) && !(*is_unsafe || (*saw_read && *saw_stripe)) {
-                        out.push(finding(
-                            PASS,
-                            path,
-                            format!(
-                                "line {}: `{entry}..)` outside an `unsafe fn` and without \
-                                 a preceding core.read() + stripe .lock() in the same \
-                                 function (documented [core, stripe] protocol)",
-                                n + 1,
-                            ),
-                        ));
-                    }
+            if has_word(code, "fn") && code.contains('(') {
+                unsafe_fn = has_word(code, "unsafe").then_some(depth);
+            } else if let Some(entry) = SHARD_ENTRIES.iter().find(|e| code.contains(*e)) {
+                if unsafe_fn.is_none() {
+                    out.push(finding(
+                        PASS,
+                        path,
+                        format!(
+                            "line {}: `{entry}..)` outside an `unsafe fn` — build the \
+                             view with ShardView::striped (core read guard) or \
+                             ShardView::exclusive (&mut Core)",
+                            n + 1,
+                        ),
+                    ));
                 }
             }
             depth += brace_delta(line);
-            if let Some((_, floor, _, _)) = cur {
-                if depth <= floor {
-                    cur = None;
-                }
+            if unsafe_fn.is_some_and(|floor| depth <= floor) {
+                unsafe_fn = None;
             }
         }
     }
@@ -387,19 +366,19 @@ mod tests {
 
     #[test]
     fn safety_comment_required_on_unsafe() {
-        let bare = "fn f(m: &ShardedMap<u32, u32>) {\n    let v = unsafe { m.shard_mut(0) };\n    drop(v);\n}\n";
+        let bare = "fn f(m: &ShardedMap<u32, u32>) {\n    let v = unsafe { m.view_mut(Some(0)) };\n    drop(v);\n}\n";
         let findings = lint_safety_comments(&files(bare));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("line 2"));
         assert!(findings[0].message.contains("SAFETY"));
         // A SAFETY: comment above (with attributes in between) passes.
-        let above = "fn f(m: &M) {\n    // SAFETY: stripe 0 held by caller.\n    #[allow(unused)]\n    let v = unsafe { m.shard_mut(0) };\n}\n";
+        let above = "fn f(m: &M) {\n    // SAFETY: stripe 0 held by caller.\n    #[allow(unused)]\n    let v = unsafe { m.view_mut(Some(0)) };\n}\n";
         assert_eq!(lint_safety_comments(&files(above)), Vec::new());
         // A trailing comment on the same line passes.
         let trailing = "unsafe impl Send for M {} // SAFETY: plain data.\n";
         assert_eq!(lint_safety_comments(&files(trailing)), Vec::new());
         // A `# Safety` doc section covers an `unsafe fn` header.
-        let doc = "/// # Safety\n///\n/// Caller holds the stripe.\npub unsafe fn shard_mut(&self) {}\n";
+        let doc = "/// # Safety\n///\n/// Caller holds the stripe.\npub unsafe fn view_mut(&self) {}\n";
         assert_eq!(lint_safety_comments(&files(doc)), Vec::new());
         // The lookback stops at real code: a SAFETY comment for an
         // *earlier* statement does not leak downward.
@@ -411,42 +390,44 @@ mod tests {
 
     #[test]
     fn shard_guard_requires_protocol_or_unsafe_fn() {
-        // Broken fixture: shard_mut with no guards in sight.
-        let bare = "fn f(core: &RwLock<Core>) {\n    let c = core.read();\n    let v = unsafe { c.louds.shard_mut(0) };\n}\n";
+        // Broken fixture: a raw entry with no guards in sight.
+        let bare = "fn f(core: &RwLock<Core>) {\n    let c = core.read();\n    let v = unsafe { c.louds.view_mut(Some(0)) };\n}\n";
         let findings = lint_shard_guard(&files(bare));
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("shard_mut"));
-        assert!(findings[0].message.contains("[core, stripe]"));
-        // The documented protocol, in order, passes.
-        let guarded = "fn f(core: &RwLock<Core>) {\n    let c = core.read();\n    let _stripe = c.stripes.stripe(0).lock();\n    let v = unsafe { ShardView::new(&c, 0) };\n}\n";
-        assert_eq!(lint_shard_guard(&files(guarded)), Vec::new());
-        // Stripe before read is NOT the protocol: the stripe must be
-        // taken under the read lock.
-        let reversed = "fn f(core: &RwLock<Core>) {\n    let _stripe = stripes.stripe(0).lock();\n    let c = core.read();\n    let v = unsafe { ShardView::new(&c, 0) };\n}\n";
-        assert_eq!(lint_shard_guard(&files(reversed)).len(), 1);
-        // An unsafe fn forwards the obligation to its callers.
-        let forwarded = "pub unsafe fn new(core: &Core) -> Self {\n    Self { louds: core.louds.shard_mut(0) }\n}\n";
+        assert!(findings[0].message.contains("view_mut"));
+        assert!(findings[0].message.contains("outside an `unsafe fn`"));
+        // Taking the locks by hand is no longer the protocol: the stripe
+        // is `ShardView::striped`'s to take.
+        let by_hand = "fn f(core: &RwLock<Core>) {\n    let c = core.read();\n    let _stripe = c.stripes.stripe(0).lock();\n    let v = unsafe { ShardView::new(&c, Some(0)) };\n}\n";
+        assert_eq!(lint_shard_guard(&files(by_hand)).len(), 1);
+        // The protocol is the constructor: an unsafe fn forwards the
+        // obligation to its callers.
+        let forwarded = "pub unsafe fn striped(core: &Guard, shard: usize) -> Self {\n    let _stripe = core.stripes.stripe(shard).lock();\n    Self { louds: core.louds.view_mut(Some(shard)) }\n}\n";
         assert_eq!(lint_shard_guard(&files(forwarded)), Vec::new());
-        // Guards from one fn don't leak into the next.
-        let two_fns = "fn a(core: &RwLock<Core>) {\n    let c = core.read();\n    let _s = stripe.lock();\n}\nfn b(c: &Core) {\n    let v = unsafe { c.louds.shard_mut(0) };\n}\n";
-        assert_eq!(lint_shard_guard(&files(two_fns)).len(), 1);
+        // An unsafe fn does not leak into the next one.
+        let two_fns = "unsafe fn a(c: &Core) {\n    let v = c.louds.view_mut(None);\n}\nfn b(c: &Core) {\n    let v = unsafe { c.louds.view_mut(Some(0)) };\n}\n";
+        let findings = lint_shard_guard(&files(two_fns));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("line 5"));
     }
 
     #[test]
     fn shard_guard_accepts_exclusive_view_and_flags_missing_stripe() {
-        // The exclusive form takes `&mut Core`: the borrow checker is the
-        // guard, so the site needs no lock acquisitions in sight.
-        let exclusive = "fn execute(core: &mut Core) {\n    let (c, view) = unsafe { ShardView::exclusive(core) };\n}\n";
-        assert_eq!(lint_shard_guard(&files(exclusive)), Vec::new());
+        // The two constructors prove their own lock, so their call sites
+        // need no lock acquisitions in sight.
+        for site in ["ShardView::exclusive(core)", "ShardView::striped(&c, 0)"] {
+            let ok = format!("fn f(core: &mut Core) {{\n    let v = unsafe {{ {site} }};\n}}\n");
+            assert_eq!(lint_shard_guard(&files(&ok)), Vec::new(), "{site}");
+        }
         // A single-shard view under the read lock but without the stripe
-        // is still flagged, whichever entry point builds it.
+        // is flagged, whichever raw entry point builds it.
         for site in ["ShardView::new(&c, Some(0))", "c.louds.view_mut(Some(0))"] {
             let no_stripe = format!(
                 "fn f(core: &RwLock<Core>) {{\n    let c = core.read();\n    let v = unsafe {{ {site} }};\n}}\n"
             );
             let findings = lint_shard_guard(&files(&no_stripe));
             assert_eq!(findings.len(), 1, "{site}: {findings:?}");
-            assert!(findings[0].message.contains("[core, stripe]"));
+            assert!(findings[0].message.contains("ShardView::striped"));
         }
     }
 
@@ -460,7 +441,7 @@ mod tests {
         let home = vec![("crates/core/src/shard.rs".to_string(), cell.to_string())];
         assert_eq!(lint_shard_guard(&home), Vec::new());
         // Test modules are exempt: single-threaded, deliberate misuse.
-        let test_mod = "fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f(m: &M) {\n        let v = unsafe { m.shard_mut(0) };\n    }\n}\n";
+        let test_mod = "fn ok() {}\n#[cfg(test)]\nmod tests {\n    fn f(m: &M) {\n        let v = unsafe { m.view_mut(Some(0)) };\n    }\n}\n";
         assert_eq!(lint_shard_guard(&files(test_mod)), Vec::new());
     }
 

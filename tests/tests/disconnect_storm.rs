@@ -80,7 +80,7 @@ fn raw_handshake(server: &AudioServer, name: &str) -> (Duplex, SetupReply) {
 /// N clients build live state (mapped LOUD, running queue, selected
 /// events, uploaded sound, properties), then all die messily at once:
 /// half vanish with replies still in flight, half after emitting a torn
-/// request frame. The server must shed every trace of them — V1–V13
+/// request frame. The server must shed every trace of them — V1–V15
 /// clean, resource counts back to the pre-storm footprint — and keep
 /// answering a fresh client.
 #[test]
