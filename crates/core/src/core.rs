@@ -266,7 +266,7 @@ pub struct Core {
     pub properties: ShardedMap<ResKey, HashMap<u32, Property>>,
     /// Per-shard stripe locks for the fast dispatch path. Lock order:
     /// core → stripe, at most one stripe per thread.
-    pub stripes: ShardSet,
+    pub(crate) stripes: ShardSet,
     /// Mapped root LOUDs, top of stack first (paper §5.4).
     pub active_stack: Vec<u32>,
     /// Per physical device, its ambient domains as a [`Claims`] domain
